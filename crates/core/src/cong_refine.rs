@@ -453,7 +453,7 @@ pub fn congestion_refine_scratch(
     cfg: &CongRefineConfig,
     scratch: &mut CongScratch,
 ) -> (f64, f64) {
-    congestion_refine_filtered(tg, machine, alloc, mapping, cfg, scratch, |_| true)
+    congestion_refine_frontier_scratch(tg, machine, alloc, mapping, cfg, scratch, |_| true)
 }
 
 /// Frontier-restricted form of [`congestion_refine_scratch`] for
@@ -464,18 +464,6 @@ pub fn congestion_refine_scratch(
 /// neighborhood rather than chasing congestion the churn did not
 /// cause. Returns the final `(max, avg)` congestion.
 pub fn congestion_refine_frontier_scratch(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    mapping: &mut [u32],
-    cfg: &CongRefineConfig,
-    scratch: &mut CongScratch,
-    in_frontier: impl Fn(u32) -> bool,
-) -> (f64, f64) {
-    congestion_refine_filtered(tg, machine, alloc, mapping, cfg, scratch, in_frontier)
-}
-
-fn congestion_refine_filtered(
     tg: &TaskGraph,
     machine: &Machine,
     alloc: &Allocation,

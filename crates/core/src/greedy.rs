@@ -39,10 +39,8 @@
 //! on/off, and warm/cold scratch.
 //!
 //! All per-run buffers live in a reusable [`GreedyScratch`]; a warm
-//! scratch makes repeated runs allocation-free (DESIGN.md §8). With the
-//! `parallel` feature, [`greedy_map`] evaluates its `NBFS` candidates on
-//! worker threads and reduces deterministically (lowest WH, ties toward
-//! the lower candidate index — identical to the sequential scan).
+//! scratch makes repeated runs allocation-free (DESIGN.md §8). The
+//! `NBFS` candidates run one after another through that scratch.
 
 use umpa_ds::{EpochMarker, IndexedMaxHeap};
 use umpa_graph::{Bfs, TaskGraph};
@@ -76,10 +74,10 @@ impl Default for GreedyConfig {
 }
 // tidy-end-cold-region
 
-/// Counters from the most recent [`greedy_map_into`] /
-/// [`greedy_map_with`] call, accumulated across its `NBFS` candidate
-/// runs: how much candidate scoring the batch gain kernel did, and how
-/// much of its distance traffic the compact slot panel absorbed.
+/// Counters from the most recent [`greedy_map_into`] call, accumulated
+/// across its `NBFS` candidate runs: how much candidate scoring the
+/// batch gain kernel did, and how much of its distance traffic the
+/// compact slot panel absorbed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyRunStats {
     /// Candidate placements scored by the batch gain kernel.
@@ -175,12 +173,7 @@ pub fn total_hops(tg: &TaskGraph, machine: &Machine, mapping: &[u32]) -> f64 {
 }
 
 /// Runs Algorithm 1 for every `NBFS` in the config and returns the
-/// mapping with the lowest WH.
-///
-/// With the `parallel` feature and more than one candidate, the runs
-/// execute on worker threads; the reduction (lowest WH, ties toward the
-/// lower candidate index) makes the result bit-identical to the
-/// sequential path.
+/// mapping with the lowest WH (ties toward the earlier candidate).
 // tidy-cold-region: convenience entry point that owns its scratch and result;
 // the allocation-free path is `greedy_map_into` with a warm scratch
 pub fn greedy_map(
@@ -189,39 +182,6 @@ pub fn greedy_map(
     alloc: &Allocation,
     cfg: &GreedyConfig,
 ) -> Vec<u32> {
-    // tidy-allow: panic-freedom (API precondition on entry: an empty candidate list has no defined result)
-    assert!(!cfg.nbfs_candidates.is_empty());
-    #[cfg(feature = "parallel")]
-    if cfg.nbfs_candidates.len() > 1 {
-        use rayon::prelude::*;
-        let runs: Vec<(f64, Vec<u32>)> = cfg
-            .nbfs_candidates
-            .par_iter()
-            .map(|&nbfs| {
-                let mut scratch = GreedyScratch::new();
-                prepare(machine, alloc, &mut scratch);
-                let wh = run_greedy(
-                    tg,
-                    machine,
-                    alloc,
-                    nbfs,
-                    cfg.heavy_first_fraction,
-                    &mut scratch,
-                );
-                (wh, std::mem::take(&mut scratch.mapping))
-            })
-            .collect();
-        // Deterministic reduction: strict `<` over the candidate order ==
-        // "lowest WH wins, ties toward the lower index".
-        let mut best = 0;
-        for i in 1..runs.len() {
-            if runs[i].0 < runs[best].0 {
-                best = i;
-            }
-        }
-        // tidy-allow: panic-freedom (unreachable: `best` indexes the non-empty `runs` the scan above produced)
-        return runs.into_iter().nth(best).unwrap().1;
-    }
     let mut scratch = GreedyScratch::new();
     let mut out = Vec::new();
     greedy_map_into(tg, machine, alloc, cfg, &mut scratch, &mut out);
@@ -231,9 +191,7 @@ pub fn greedy_map(
 
 /// Scratch-reusing form of [`greedy_map`]: writes the winning mapping
 /// into `out` and returns its WH. Allocation-free once `scratch` and
-/// `out` are warm. Always evaluates candidates sequentially (the
-/// parallel path needs one scratch per worker — see
-/// [`map_many`](crate::pipeline::map_many)).
+/// `out` are warm.
 pub fn greedy_map_into(
     tg: &TaskGraph,
     machine: &Machine,
@@ -258,21 +216,7 @@ pub fn greedy_map_into(
     best_wh
 }
 
-/// Runs Algorithm 1 with a fixed number of far seeds (default
-/// heterogeneity pre-pass threshold).
-pub fn greedy_map_with(
-    tg: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    nbfs: u32,
-) -> Vec<u32> {
-    let mut scratch = GreedyScratch::new();
-    prepare(machine, alloc, &mut scratch);
-    run_greedy(tg, machine, alloc, nbfs, 0.5, &mut scratch);
-    std::mem::take(&mut scratch.mapping)
-}
-
-/// Per-call setup shared by every entry point: reset the kernel
+/// Per-call setup of [`greedy_map_into`]: reset the kernel
 /// counters, (re)build the compact slot panel and the slot→router
 /// table for this allocation. `run_greedy` assumes these match `alloc`.
 fn prepare(machine: &Machine, alloc: &Allocation, scratch: &mut GreedyScratch) {
@@ -854,6 +798,17 @@ mod tests {
         TaskGraph::from_messages(4, [(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0)], None)
     }
 
+    /// Algorithm 1 with the single far-seed count `nbfs`.
+    fn greedy_nbfs(tg: &TaskGraph, m: &Machine, alloc: &Allocation, nbfs: u32) -> Vec<u32> {
+        let cfg = GreedyConfig {
+            nbfs_candidates: vec![nbfs],
+            ..GreedyConfig::default()
+        };
+        let mut out = Vec::new();
+        greedy_map_into(tg, m, alloc, &cfg, &mut GreedyScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn produces_a_valid_one_to_one_mapping() {
         let m = machine();
@@ -926,7 +881,7 @@ mod tests {
             None,
         );
         for nbfs in [0, 1, 2] {
-            let mapping = greedy_map_with(&tg, &m, &alloc, nbfs);
+            let mapping = greedy_nbfs(&tg, &m, &alloc, nbfs);
             validate_mapping(&tg, &alloc, &mapping).unwrap();
         }
     }
@@ -938,7 +893,7 @@ mod tests {
         // Two disjoint pairs; with a far seed the second pair should not
         // crowd the first.
         let tg = TaskGraph::from_messages(4, [(0, 1, 5.0), (2, 3, 5.0)], None);
-        let mapping = greedy_map_with(&tg, &m, &alloc, 1);
+        let mapping = greedy_nbfs(&tg, &m, &alloc, 1);
         validate_mapping(&tg, &alloc, &mapping).unwrap();
         // Pairs themselves should be adjacent (free capacity abounds).
         assert!(m.hops(mapping[0], mapping[1]) <= 1);
@@ -970,8 +925,8 @@ mod tests {
             ],
             None,
         );
-        let w0 = weighted_hops(&tg, &m, &greedy_map_with(&tg, &m, &alloc, 0));
-        let w1 = weighted_hops(&tg, &m, &greedy_map_with(&tg, &m, &alloc, 1));
+        let w0 = weighted_hops(&tg, &m, &greedy_nbfs(&tg, &m, &alloc, 0));
+        let w1 = weighted_hops(&tg, &m, &greedy_nbfs(&tg, &m, &alloc, 1));
         let combined = weighted_hops(
             &tg,
             &m,
@@ -1014,7 +969,7 @@ mod tests {
             Some(vec![4.0, 2.0, 2.0]),
         );
         for nbfs in [0, 1] {
-            let mapping = greedy_map_with(&tg, &m, &alloc, nbfs);
+            let mapping = greedy_nbfs(&tg, &m, &alloc, nbfs);
             validate_mapping(&tg, &alloc, &mapping).unwrap();
             // The weight-4 task must sit on the capacity-4 node.
             assert_eq!(mapping[0], alloc.node(0), "nbfs={nbfs}");
@@ -1028,7 +983,7 @@ mod tests {
         let m = machine();
         let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(4, 1));
         let tg = chain();
-        let a = greedy_map_with(&tg, &m, &alloc, 0);
+        let a = greedy_nbfs(&tg, &m, &alloc, 0);
         let cfg = GreedyConfig {
             nbfs_candidates: vec![0],
             heavy_first_fraction: 0.0, // would catch everything if it fired
@@ -1047,7 +1002,7 @@ mod tests {
         let t0 = tg.task_with_max_srv().unwrap();
         for seed in 0..5u64 {
             let alloc = umpa_topology::Allocation::generate(&m, &AllocSpec::sparse(6, seed));
-            let mapping = greedy_map_with(&tg, &m, &alloc, 0);
+            let mapping = greedy_nbfs(&tg, &m, &alloc, 0);
             assert_eq!(mapping[t0 as usize], alloc.node(0), "seed {seed}");
         }
     }

@@ -34,7 +34,7 @@
 #![warn(missing_docs)]
 
 /// Whether this build of the engine was compiled with the `parallel`
-/// feature (thread-pooled `map_many`, NBFS candidates, portfolio).
+/// feature (thread-pooled `map_many` batches).
 /// Exposed so downstream tools (e.g. the perf tracker) report the
 /// engine's actual mode rather than their own feature flags.
 pub const PARALLEL_ENABLED: bool = cfg!(feature = "parallel");
@@ -67,9 +67,8 @@ pub use mapping::{fits, is_valid_mapping, validate_mapping, MappingError, CAPACI
 pub use metrics::{evaluate, MetricsReport};
 pub use multilevel::{multilevel_map_into, MultilevelConfig, MultilevelScratch, MultilevelStats};
 pub use pipeline::{
-    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_portfolio,
-    map_portfolio_strategy, map_tasks, map_tasks_with, MapRequest, MapStrategy, MapperKind,
-    MappingOutcome, PipelineConfig,
+    map_many, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with, MapRequest,
+    MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
 };
 pub use remap::{
     apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,
@@ -88,9 +87,8 @@ pub mod prelude {
     pub use crate::metrics::{evaluate, MetricsReport};
     pub use crate::multilevel::{MultilevelConfig, MultilevelStats};
     pub use crate::pipeline::{
-        map_many, map_many_seq, map_multilevel, map_multilevel_with, map_portfolio,
-        map_portfolio_strategy, map_tasks, map_tasks_with, MapRequest, MapStrategy, MapperKind,
-        MappingOutcome, PipelineConfig,
+        map_many, map_multilevel, map_multilevel_with, map_tasks, map_tasks_with, MapRequest,
+        MapStrategy, MapperKind, MappingOutcome, PipelineConfig,
     };
     pub use crate::remap::{
         apply_events, remap_incremental, ChurnEvent, RemapConfig, RemapDrift, RemapOutcome,

@@ -38,11 +38,11 @@ use umpa_graph::{TaskGraph, TaskGraphScratch};
 use umpa_partition::coarsen::heavy_edge_matching;
 use umpa_topology::{Allocation, Machine};
 
-use crate::cong_refine::congestion_refine_scratch;
+use crate::cong_refine::CongRefineConfig;
 use crate::greedy::greedy_map_into;
 use crate::pipeline::{MapperKind, PipelineConfig};
 use crate::scratch::MapperScratch;
-use crate::wh_refine::{wh_refine_scratch, WhRefineConfig};
+use crate::wh_refine::WhRefineConfig;
 
 /// Coarsening stalls when a matching round shrinks the graph by less
 /// than 5 % — the remaining structure (stars, isolated vertices,
@@ -219,7 +219,7 @@ pub fn multilevel_map_into(
         out.clear();
         return MultilevelStats::default();
     }
-    let want_counts = kind == MapperKind::GreedyMmc;
+    let want_counts = kind.counts_messages();
     if want_counts {
         // The `UMMC` view: every fine message counts 1, weights real.
         ml.cnt0.rebuild_from_messages(
@@ -297,70 +297,32 @@ pub fn multilevel_map_into(
         active += 1;
     }
     // --- Coarsest mapping (full-budget refinement) ---------------------
+    // With nothing to coarsen (the graph is machine-sized, or refuses
+    // to shrink) the coarsest level is the fine graph itself and the
+    // engine maps it directly.
+    let (top_tg, top_cnt, top_mapping): (&TaskGraph, &TaskGraph, &mut Vec<u32>) = if active == 0 {
+        (fine, &ml.cnt0, &mut *out)
+    } else {
+        let top = &mut ml.levels[active - 1];
+        (&top.tg, &top.cnt, &mut top.mapping)
+    };
     let stats = MultilevelStats {
         levels: active,
-        coarsest_tasks: if active == 0 {
-            n
-        } else {
-            ml.levels[active - 1].tg.num_tasks()
-        },
+        coarsest_tasks: top_tg.num_tasks(),
     };
-    if active == 0 {
-        // Nothing to coarsen: the graph is machine-sized (or refuses to
-        // shrink) — map it directly with the engine.
-        greedy_map_into(fine, machine, alloc, &cfg.greedy, greedy, out);
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(fine, machine, alloc, out, &cfg.wh, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(fine, machine, alloc, out, &cfg.cong_volume, cong);
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(&ml.cnt0, machine, alloc, out, &cfg.cong_messages, cong);
-            }
-            _ => {}
-        }
-        return stats;
-    }
-    {
-        let (_, tail) = ml.levels.split_at_mut(active - 1);
-        let top = &mut tail[0];
-        greedy_map_into(
-            &top.tg,
-            machine,
-            alloc,
-            &cfg.greedy,
-            greedy,
-            &mut top.mapping,
-        );
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(&top.tg, machine, alloc, &mut top.mapping, &cfg.wh, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(
-                    &top.tg,
-                    machine,
-                    alloc,
-                    &mut top.mapping,
-                    &cfg.cong_volume,
-                    cong,
-                );
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(
-                    &top.cnt,
-                    machine,
-                    alloc,
-                    &mut top.mapping,
-                    &cfg.cong_messages,
-                    cong,
-                );
-            }
-            _ => {}
-        }
-    }
+    greedy_map_into(top_tg, machine, alloc, &cfg.greedy, greedy, top_mapping);
+    kind.refine(
+        top_tg,
+        top_cnt,
+        machine,
+        alloc,
+        top_mapping,
+        &cfg.wh,
+        &cfg.cong_volume,
+        &cfg.cong_messages,
+        wh,
+        cong,
+    );
     // --- Uncoarsening: project, then bounded refinement per level ------
     let wh_cfg = WhRefineConfig {
         max_passes: mlcfg.refine_passes,
@@ -370,15 +332,13 @@ pub fn multilevel_map_into(
     // congested link yields no swap), so its per-level budget caps
     // *accepted moves* at `refine_passes × |V_level|` — one "pass"
     // moving every vertex once — under the configured ceiling.
-    let cong_budget = |base: &crate::cong_refine::CongRefineConfig, n_level: usize| {
-        crate::cong_refine::CongRefineConfig {
-            max_moves: base.max_moves.min(
-                mlcfg
-                    .refine_passes
-                    .saturating_mul(n_level.min(u32::MAX as usize) as u32),
-            ),
-            ..*base
-        }
+    let cong_budget = |base: &CongRefineConfig, n_level: usize| CongRefineConfig {
+        max_moves: base.max_moves.min(
+            mlcfg
+                .refine_passes
+                .saturating_mul(n_level.min(u32::MAX as usize) as u32),
+        ),
+        ..*base
     };
     for i in (0..active).rev() {
         let (built, rest) = ml.levels.split_at_mut(i);
@@ -397,32 +357,18 @@ pub fn multilevel_map_into(
         if n_level > mlcfg.refine_max_vertices || mlcfg.refine_passes == 0 {
             continue;
         }
-        match kind {
-            MapperKind::GreedyWh => {
-                wh_refine_scratch(finer_tg, machine, alloc, finer_mapping, &wh_cfg, wh);
-            }
-            MapperKind::GreedyMc => {
-                congestion_refine_scratch(
-                    finer_tg,
-                    machine,
-                    alloc,
-                    finer_mapping,
-                    &cong_budget(&cfg.cong_volume, n_level),
-                    cong,
-                );
-            }
-            MapperKind::GreedyMmc => {
-                congestion_refine_scratch(
-                    finer_cnt,
-                    machine,
-                    alloc,
-                    finer_mapping,
-                    &cong_budget(&cfg.cong_messages, n_level),
-                    cong,
-                );
-            }
-            _ => {}
-        }
+        kind.refine(
+            finer_tg,
+            finer_cnt,
+            machine,
+            alloc,
+            finer_mapping,
+            &wh_cfg,
+            &cong_budget(&cfg.cong_volume, n_level),
+            &cong_budget(&cfg.cong_messages, n_level),
+            wh,
+            cong,
+        );
     }
     stats
 }

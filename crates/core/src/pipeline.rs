@@ -14,11 +14,18 @@
 //! methods (and the refinement variants' time including the `UG` run
 //! they start from).
 //!
+//! Engine dispatch: each greedy-family mapper is Algorithm 1 followed by
+//! at most one refiner, and [`MapperKind::refine`] is the one place that
+//! picks the refiner, its graph view and its config. The direct
+//! pipeline here, the multilevel engine and the service supervisor each
+//! make one `greedy_map_into` call followed by `refine` calls.
+//!
 //! Serving shape: [`map_tasks_with`] threads a warm [`MapperScratch`]
 //! through phase 2 so its hot path is allocation-free, and [`map_many`]
 //! batches requests — sequentially through one scratch, or (with the
-//! `parallel` feature) across a per-worker scratch pool with outputs in
-//! request order, bit-identical to the sequential path.
+//! `parallel` feature, which parallelizes nothing else) across a
+//! per-worker scratch pool with outputs in request order, bit-identical
+//! to the sequential path.
 
 use std::time::{Duration, Instant};
 
@@ -27,12 +34,12 @@ use umpa_partition::{fix_balance, recursive_bisection, MlConfig};
 use umpa_topology::{Allocation, Machine};
 
 use crate::baselines::{def_groups, def_mapping, smap_mapping, tmap_mapping};
-use crate::cong_refine::{congestion_refine_scratch, CongRefineConfig};
+use crate::cong_refine::{congestion_refine_scratch, CongRefineConfig, CongScratch};
 use crate::greedy::{greedy_map_into, GreedyConfig};
 use crate::metrics::evaluate;
 use crate::multilevel::{multilevel_map_into, MultilevelConfig};
 use crate::scratch::MapperScratch;
-use crate::wh_refine::{wh_refine_scratch, WhRefineConfig};
+use crate::wh_refine::{wh_refine_scratch, WhRefineConfig, WhScratch};
 
 /// The seven mapping algorithms of Figure 2, in the paper's order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,6 +103,47 @@ impl MapperKind {
             MapperKind::GreedyWh => "UWH",
             MapperKind::GreedyMc => "UMC",
             MapperKind::GreedyMmc => "UMMC",
+        }
+    }
+
+    /// Whether this kind's refiner reads the message-count view of the
+    /// task graph (every fine message weighs 1) rather than volumes.
+    pub(crate) fn counts_messages(self) -> bool {
+        self == MapperKind::GreedyMmc
+    }
+
+    /// Runs this kind's refiner on a mapping Algorithm 1 produced: the
+    /// one place that decides which refiner a kind runs, on which graph
+    /// view and with which config. `UWH` runs Algorithm 2 on `vol`;
+    /// `UMC` runs Algorithm 3 on `vol`; `UMMC` runs Algorithm 3 on
+    /// `cnt`, the message-count view (every fine message weighs 1),
+    /// which no other kind reads. A no-op for `UG` and the baselines.
+    /// Allocation-free once the scratches are warm.
+    #[allow(clippy::too_many_arguments)]
+    pub fn refine(
+        self,
+        vol: &TaskGraph,
+        cnt: &TaskGraph,
+        machine: &Machine,
+        alloc: &Allocation,
+        mapping: &mut [u32],
+        wh_cfg: &WhRefineConfig,
+        cong_vol_cfg: &CongRefineConfig,
+        cong_msg_cfg: &CongRefineConfig,
+        wh: &mut WhScratch,
+        cong: &mut CongScratch,
+    ) {
+        match self {
+            MapperKind::GreedyWh => {
+                wh_refine_scratch(vol, machine, alloc, mapping, wh_cfg, wh);
+            }
+            MapperKind::GreedyMc => {
+                congestion_refine_scratch(vol, machine, alloc, mapping, cong_vol_cfg, cong);
+            }
+            MapperKind::GreedyMmc => {
+                congestion_refine_scratch(cnt, machine, alloc, mapping, cong_msg_cfg, cong);
+            }
+            MapperKind::Def | MapperKind::Tmap | MapperKind::Smap | MapperKind::Greedy => {}
         }
     }
 }
@@ -279,7 +327,10 @@ pub fn map_tasks_with(
             scratch.coarse.clear();
             scratch.coarse.extend_from_slice(&m);
         }
-        MapperKind::Greedy => {
+        MapperKind::Greedy
+        | MapperKind::GreedyWh
+        | MapperKind::GreedyMc
+        | MapperKind::GreedyMmc => {
             greedy_map_into(
                 &coarse_vol,
                 machine,
@@ -288,59 +339,19 @@ pub fn map_tasks_with(
                 &mut scratch.greedy,
                 &mut scratch.coarse,
             );
-        }
-        MapperKind::GreedyWh => {
-            greedy_map_into(
+            let coarse_cnt = kind
+                .counts_messages()
+                .then(|| fine.group_quotient(&group_of, n_groups, true));
+            kind.refine(
                 &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-            wh_refine_scratch(
-                &coarse_vol,
+                coarse_cnt.as_ref().unwrap_or(&coarse_vol),
                 machine,
                 alloc,
                 &mut scratch.coarse,
                 &cfg.wh,
-                &mut scratch.wh,
-            );
-        }
-        MapperKind::GreedyMc => {
-            greedy_map_into(
-                &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-            congestion_refine_scratch(
-                &coarse_vol,
-                machine,
-                alloc,
-                &mut scratch.coarse,
                 &cfg.cong_volume,
-                &mut scratch.cong,
-            );
-        }
-        MapperKind::GreedyMmc => {
-            greedy_map_into(
-                &coarse_vol,
-                machine,
-                alloc,
-                &cfg.greedy,
-                &mut scratch.greedy,
-                &mut scratch.coarse,
-            );
-            let coarse_cnt = fine.group_quotient(&group_of, n_groups, true);
-            congestion_refine_scratch(
-                &coarse_cnt,
-                machine,
-                alloc,
-                &mut scratch.coarse,
                 &cfg.cong_messages,
+                &mut scratch.wh,
                 &mut scratch.cong,
             );
         }
@@ -350,13 +361,17 @@ pub fn map_tasks_with(
         // §III-B fine-level refinement: swap individual tasks between
         // nodes. WH can only improve; internode volume may grow (the
         // reason the paper keeps this off by default).
-        wh_refine_scratch(
+        kind.refine(
+            fine,
             fine,
             machine,
             alloc,
             &mut fine_mapping,
             &cfg.wh,
+            &cfg.cong_volume,
+            &cfg.cong_messages,
             &mut scratch.wh,
+            &mut scratch.cong,
         );
     }
     let elapsed = start.elapsed();
@@ -476,70 +491,11 @@ pub fn map_many(requests: &[MapRequest<'_>]) -> Vec<MappingOutcome> {
             .collect();
         return nested.into_iter().flatten().collect();
     }
-    map_many_seq(requests)
-}
-
-/// Always-sequential form of [`map_many`] (one scratch, request order).
-/// The reference the parallel path is tested against.
-pub fn map_many_seq(requests: &[MapRequest<'_>]) -> Vec<MappingOutcome> {
     let mut scratch = MapperScratch::new();
     requests
         .iter()
         .map(|r| run_request(r, &mut scratch))
         .collect()
-}
-
-/// Runs the full seven-mapper portfolio on one problem, in Figure 2's
-/// order. With the `parallel` feature the mappers run concurrently
-/// (one scratch each); outputs stay in portfolio order either way.
-pub fn map_portfolio(
-    fine: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    cfg: &PipelineConfig,
-) -> Vec<(MapperKind, MappingOutcome)> {
-    map_portfolio_strategy(fine, machine, alloc, cfg, MapStrategy::Direct)
-}
-
-/// [`map_portfolio`] with an explicit [`MapStrategy`]: under
-/// [`MapStrategy::Multilevel`] the greedy family runs the multilevel
-/// engine while the baselines keep their direct pipeline (they do not
-/// decompose over a hierarchy).
-pub fn map_portfolio_strategy(
-    fine: &TaskGraph,
-    machine: &Machine,
-    alloc: &Allocation,
-    cfg: &PipelineConfig,
-    strategy: MapStrategy,
-) -> Vec<(MapperKind, MappingOutcome)> {
-    let kinds = MapperKind::all();
-    let run = |kind: MapperKind, scratch: &mut MapperScratch| {
-        let request = MapRequest {
-            tasks: fine,
-            machine,
-            alloc,
-            kind,
-            strategy,
-            cfg,
-        };
-        run_request(&request, scratch)
-    };
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        kinds
-            .par_iter()
-            .map(|&kind| (kind, run(kind, &mut MapperScratch::new())))
-            .collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let mut scratch = MapperScratch::new();
-        kinds
-            .iter()
-            .map(|&kind| (kind, run(kind, &mut scratch)))
-            .collect()
-    }
 }
 
 /// Composes the fine mapping out of grouping and coarse placement.

@@ -15,6 +15,12 @@
 //! Buffers are sized lazily: a scratch built for one machine/task-graph
 //! shape serves any other shape (everything `reset`s on entry), so one
 //! long-lived scratch per worker thread is the intended usage.
+//!
+//! The fields are public so callers can lend one engine's buffers at a
+//! time: [`MapperKind::refine`](crate::pipeline::MapperKind::refine)
+//! takes only the `wh` and `cong` scratches, because the multilevel
+//! engine runs it on level graphs borrowed from `multilevel` in the
+//! same scratch.
 
 use crate::cong_refine::CongScratch;
 use crate::greedy::GreedyScratch;

@@ -94,23 +94,7 @@ pub fn wh_refine_scratch(
     cfg: &WhRefineConfig,
     scratch: &mut WhScratch,
 ) -> f64 {
-    assert_eq!(mapping.len(), tg.num_tasks());
-    let mut r = Refiner::new(tg, machine, alloc, mapping, scratch);
-    let mut wh = weighted_hops(tg, machine, r.mapping);
-    for _ in 0..cfg.max_passes {
-        let improved = r.run_pass(cfg.delta);
-        let new_wh = wh - improved;
-        debug_assert!(
-            (new_wh - weighted_hops(tg, machine, r.mapping)).abs() < DRIFT_EPS * (1.0 + new_wh),
-            "incremental WH drifted"
-        );
-        if wh <= 0.0 || (wh - new_wh) / wh <= cfg.min_rel_improvement {
-            wh = new_wh;
-            break;
-        }
-        wh = new_wh;
-    }
-    wh
+    refine_passes(tg, machine, alloc, mapping, None, cfg, scratch)
 }
 
 /// Frontier-restricted form of [`wh_refine_scratch`] for incremental
@@ -128,11 +112,26 @@ pub fn wh_refine_frontier_scratch(
     cfg: &WhRefineConfig,
     scratch: &mut WhScratch,
 ) -> f64 {
+    refine_passes(tg, machine, alloc, mapping, Some(frontier), cfg, scratch)
+}
+
+/// The pass loop of both entry points: passes pivot on `frontier`
+/// (every task when `None`) until one improves WH by no more than
+/// `cfg.min_rel_improvement`, at most `cfg.max_passes` times.
+fn refine_passes(
+    tg: &TaskGraph,
+    machine: &Machine,
+    alloc: &Allocation,
+    mapping: &mut [u32],
+    frontier: Option<&[u32]>,
+    cfg: &WhRefineConfig,
+    scratch: &mut WhScratch,
+) -> f64 {
     assert_eq!(mapping.len(), tg.num_tasks());
     let mut r = Refiner::new(tg, machine, alloc, mapping, scratch);
     let mut wh = weighted_hops(tg, machine, r.mapping);
     for _ in 0..cfg.max_passes {
-        let improved = r.run_pass_frontier(cfg.delta, frontier);
+        let improved = r.run_pass(cfg.delta, frontier);
         let new_wh = wh - improved;
         debug_assert!(
             (new_wh - weighted_hops(tg, machine, r.mapping)).abs() < DRIFT_EPS * (1.0 + new_wh),
@@ -243,26 +242,27 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// One refinement pass; returns the total WH improvement achieved.
-    fn run_pass(&mut self, delta: usize) -> f64 {
+    /// One refinement pass pivoting on `frontier` (each task listed
+    /// once; every task when `None`); returns the total WH improvement
+    /// achieved. Swap *partners* are found anywhere the BFS reaches —
+    /// the frontier only bounds whose placement is reconsidered (the
+    /// incremental-remap restriction).
+    fn run_pass(&mut self, delta: usize, frontier: Option<&[u32]>) -> f64 {
         let n = self.tg.num_tasks();
         self.heap.reset(n);
-        for t in 0..n as u32 {
-            let key = self.task_wh(t);
-            self.heap.push(t, key);
-        }
-        self.drain_heap(delta)
-    }
-
-    /// A pass that pivots only on `frontier` tasks (each listed once):
-    /// the incremental-remap restriction. Swap *partners* are still
-    /// found anywhere the BFS reaches — only the set of tasks whose
-    /// placement is reconsidered is bounded.
-    fn run_pass_frontier(&mut self, delta: usize, frontier: &[u32]) -> f64 {
-        self.heap.reset(self.tg.num_tasks());
-        for &t in frontier {
-            let key = self.task_wh(t);
-            self.heap.push(t, key);
+        match frontier {
+            Some(tasks) => {
+                for &t in tasks {
+                    let key = self.task_wh(t);
+                    self.heap.push(t, key);
+                }
+            }
+            None => {
+                for t in 0..n as u32 {
+                    let key = self.task_wh(t);
+                    self.heap.push(t, key);
+                }
+            }
         }
         self.drain_heap(delta)
     }

@@ -92,9 +92,6 @@ pub struct SupervisorPolicy {
     /// the supervisor polishes, and adopts the baseline outright if
     /// polish alone cannot close the gap.
     pub max_drift: f64,
-    /// Follow the WH polish with a congestion polish (Algorithm 3,
-    /// volume variant).
-    pub cong_polish: bool,
 }
 
 impl Default for SupervisorPolicy {
@@ -102,7 +99,6 @@ impl Default for SupervisorPolicy {
         Self {
             check_every: 16,
             max_drift: 0.15,
-            cong_polish: true,
         }
     }
 }

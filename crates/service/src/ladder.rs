@@ -35,22 +35,15 @@ impl LadderRung {
 
     /// Dense index for per-rung counters (`Full` = 0 … `Projection` = 3).
     pub fn index(self) -> usize {
-        match self {
-            LadderRung::Full => 0,
-            LadderRung::Refined => 1,
-            LadderRung::GreedyOnly => 2,
-            LadderRung::Projection => 3,
-        }
+        self as usize
     }
 
-    /// The rung a mapper kind belongs to.
+    /// The rung a mapper kind belongs to: the number of
+    /// [`MapperKind::degrade`] steps from `kind` down to the `DEF` floor
+    /// (3 → `Full`, 2 → `Refined`, 1 → `GreedyOnly`, 0 → `Projection`).
     pub fn of(kind: MapperKind) -> Self {
-        match kind {
-            MapperKind::GreedyMc | MapperKind::GreedyMmc => LadderRung::Full,
-            MapperKind::GreedyWh => LadderRung::Refined,
-            MapperKind::Greedy | MapperKind::Tmap | MapperKind::Smap => LadderRung::GreedyOnly,
-            MapperKind::Def => LadderRung::Projection,
-        }
+        let steps = std::iter::successors(kind.degrade(), |k| k.degrade()).count();
+        Self::all()[Self::COUNT - 1 - steps.min(Self::COUNT - 1)]
     }
 
     /// Stable snake_case label (bench metric suffixes).

@@ -10,14 +10,12 @@
 //! actually changed, detected via
 //! [`FaultSnapshot`](umpa_topology::FaultSnapshot) equality — and when
 //! drift exceeds `max_drift` it polishes the live mapping in place
-//! (full WH refinement, optionally a congestion polish). If polish
+//! (full WH refinement, then a volume-congestion polish). If polish
 //! alone cannot close the gap it adopts the baseline mapping outright,
 //! restoring the bound by construction.
 
 use umpa_core::greedy::weighted_hops;
-use umpa_core::{
-    congestion_refine_scratch, greedy_map_into, wh_refine_scratch, MapperScratch, PipelineConfig,
-};
+use umpa_core::{greedy_map_into, MapperKind, MapperScratch, PipelineConfig};
 use umpa_graph::TaskGraph;
 use umpa_topology::{Allocation, FaultSnapshot, Machine};
 
@@ -98,6 +96,21 @@ impl Supervisor {
             return PolishOutcome::default();
         }
         self.repairs_since_check = 0;
+        // The pipeline's refiner for `kind`, on the volume graph.
+        let refine = |kind: MapperKind, mapping: &mut [u32], scratch: &mut MapperScratch| {
+            kind.refine(
+                tasks,
+                tasks,
+                machine,
+                alloc,
+                mapping,
+                &pipeline.wh,
+                &pipeline.cong_volume,
+                &pipeline.cong_messages,
+                &mut scratch.wh,
+                &mut scratch.cong,
+            );
+        };
 
         // Refresh the baseline only when the machine/allocation it was
         // computed under has changed — a from-scratch map is the
@@ -120,14 +133,7 @@ impl Supervisor {
                 &mut scratch.greedy,
                 &mut base_map,
             );
-            wh_refine_scratch(
-                tasks,
-                machine,
-                alloc,
-                &mut base_map,
-                &pipeline.wh,
-                &mut scratch.wh,
-            );
+            refine(MapperKind::GreedyWh, &mut base_map, scratch);
             self.baseline = Some(Baseline {
                 snapshot,
                 alloc_nodes: alloc.nodes().to_vec(),
@@ -147,25 +153,10 @@ impl Supervisor {
             };
         }
 
-        // Over the bound: polish the live mapping in place.
-        wh_refine_scratch(
-            tasks,
-            machine,
-            alloc,
-            mapping,
-            &pipeline.wh,
-            &mut scratch.wh,
-        );
-        if policy.cong_polish {
-            congestion_refine_scratch(
-                tasks,
-                machine,
-                alloc,
-                mapping,
-                &pipeline.cong_volume,
-                &mut scratch.cong,
-            );
-        }
+        // Over the bound: polish the live mapping in place with UWH's
+        // refiner, then UMC's.
+        refine(MapperKind::GreedyWh, mapping, scratch);
+        refine(MapperKind::GreedyMc, mapping, scratch);
         if weighted_hops(tasks, machine, mapping) <= bound {
             return PolishOutcome {
                 checked: true,

@@ -7,9 +7,9 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use umpa::core::pipeline::{
-    map_many, map_many_seq, map_portfolio, map_tasks, MapRequest, MapStrategy, MapperKind,
-    PipelineConfig,
+    map_many, map_tasks, map_tasks_with, MapRequest, MapStrategy, MapperKind, PipelineConfig,
 };
+use umpa::core::scratch::MapperScratch;
 use umpa::core::validate_mapping;
 use umpa::graph::TaskGraph;
 use umpa::topology::{AllocSpec, Allocation, Machine, MachineConfig};
@@ -81,8 +81,14 @@ fn map_many_matches_looped_map_tasks() {
 
     // The batched API (parallel when the feature is on)…
     let batched = map_many(&requests);
-    // …the always-sequential batched form…
-    let sequential = map_many_seq(&requests);
+    // …a loop through one shared scratch…
+    let mut scratch = MapperScratch::new();
+    let sequential: Vec<_> = plan
+        .iter()
+        .map(|&(gi, ai, kind)| {
+            map_tasks_with(&graphs[gi], &machine, &allocs[ai], kind, &cfg, &mut scratch)
+        })
+        .collect();
     assert_eq!(batched.len(), plan.len());
     for (i, &(gi, ai, kind)) in plan.iter().enumerate() {
         // …and the plain one-at-a-time loop.
@@ -93,7 +99,7 @@ fn map_many_matches_looped_map_tasks() {
         );
         assert_eq!(
             sequential[i].fine_mapping, single.fine_mapping,
-            "request {i} ({kind:?}): sequential batched mapping diverged"
+            "request {i} ({kind:?}): shared-scratch loop diverged"
         );
         assert_eq!(batched[i].group_of, single.group_of, "request {i}");
         assert_eq!(
@@ -125,25 +131,4 @@ fn map_many_handles_trivial_batches() {
         one[0].fine_mapping,
         map_tasks(&tg, &machine, &alloc, MapperKind::Greedy, &cfg).fine_mapping
     );
-}
-
-#[test]
-fn portfolio_matches_individual_runs() {
-    let machine = MachineConfig::small(&[4, 4], 1, 2).build();
-    let cfg = PipelineConfig::default();
-    let mut rng = ChaCha8Rng::seed_from_u64(0x70F);
-    let tg = random_task_graph(&mut rng, 12);
-    let alloc = Allocation::generate(&machine, &AllocSpec::sparse(6, 3));
-    let portfolio = map_portfolio(&tg, &machine, &alloc, &cfg);
-    assert_eq!(portfolio.len(), MapperKind::all().len());
-    for (i, kind) in MapperKind::all().into_iter().enumerate() {
-        assert_eq!(portfolio[i].0, kind);
-        let single = map_tasks(&tg, &machine, &alloc, kind, &cfg);
-        assert_eq!(
-            portfolio[i].1.fine_mapping,
-            single.fine_mapping,
-            "{}: portfolio mapping diverged",
-            kind.name()
-        );
-    }
 }

@@ -8,8 +8,8 @@
 
 use umpa::core::multilevel::{multilevel_map_into, MultilevelConfig};
 use umpa::core::pipeline::{
-    map_many, map_many_seq, map_multilevel, map_multilevel_with, map_tasks, MapRequest,
-    MapStrategy, MapperKind, PipelineConfig,
+    map_many, map_multilevel, map_multilevel_with, map_tasks, MapRequest, MapStrategy, MapperKind,
+    PipelineConfig,
 };
 use umpa::core::scratch::MapperScratch;
 use umpa::core::{evaluate, validate_mapping};
@@ -112,9 +112,9 @@ fn multilevel_is_feasible_and_deterministic_across_the_matrix() {
 
 #[test]
 fn multilevel_map_many_matches_the_sequential_loop() {
-    // `map_many` with the Multilevel strategy must equal both the
-    // always-sequential batched form and a plain loop of
-    // `map_multilevel` — under the `parallel` feature and without it
+    // `map_many` with the Multilevel strategy must equal both a loop of
+    // `map_multilevel_with` through one shared scratch and a plain loop
+    // of `map_multilevel` — under the `parallel` feature and without it
     // (CI runs this test in both configurations; the sequential loop
     // is feature-independent, so equality here pins bit-identity
     // across the feature too).
@@ -141,7 +141,13 @@ fn multilevel_map_many_matches_the_sequential_loop() {
         }
     }
     let batched = map_many(&requests);
-    let sequential = map_many_seq(&requests);
+    let mut scratch = MapperScratch::new();
+    let sequential: Vec<_> = plan
+        .iter()
+        .map(|&(i, kind)| {
+            map_multilevel_with(&tg, &machs[i].1, &allocs[i], kind, &cfg, &mut scratch)
+        })
+        .collect();
     assert_eq!(batched.len(), plan.len());
     for (r, &(i, kind)) in plan.iter().enumerate() {
         let single = map_multilevel(&tg, &machs[i].1, &allocs[i], kind, &cfg);
