@@ -10,6 +10,11 @@
 //!   rows are suffixed `/fattree` and `/dragonfly`);
 //! * `wh_refine` — Algorithm 2 from a fresh greedy mapping each op;
 //! * `cong_refine` — Algorithm 3 (volume) from a fresh greedy mapping;
+//! * `phase1` / `quotient` / `map_tasks` — the direct pipeline layer by
+//!   layer on the fixture graph: phase-1 grouping through
+//!   [`group_tasks_with`], the volume quotient graph through
+//!   `TaskGraph::group_quotient_into`, and a whole `UMC` map through
+//!   [`map_tasks_with`], all on warm scratch;
 //! * `dist_table` vs `dist_analytic` — the distance-oracle microbench:
 //!   the same pseudo-random router-pair sweep through the dense table
 //!   and through the analytic `Topology::distance`;
@@ -51,12 +56,12 @@ use umpa_core::greedy::{greedy_map_into, GreedyConfig};
 use umpa_core::metrics::evaluate;
 use umpa_core::multilevel::multilevel_map_into;
 use umpa_core::pipeline::{
-    map_many, map_tasks_with, MapRequest, MapStrategy, MapperKind, PipelineConfig,
+    group_tasks_with, map_many, map_tasks_with, MapRequest, MapStrategy, MapperKind, PipelineConfig,
 };
 use umpa_core::remap::{remap_incremental, ChurnEvent, RemapConfig};
 use umpa_core::scratch::MapperScratch;
 use umpa_core::wh_refine::{wh_refine_scratch, WhRefineConfig};
-use umpa_graph::TaskGraph;
+use umpa_graph::{TaskGraph, TaskGraphScratch};
 use umpa_matgen::gen::{stencil2d, Stencil2D};
 use umpa_matgen::spmv::spmv_task_graph;
 use umpa_matgen::taskgen::{stencil3d_tasks, total_weight_for};
@@ -345,6 +350,47 @@ fn main() {
             cong_stats.moves,
             cong_stats.route_cache_hit_rate()
         );
+
+        // --- Direct pipeline, layer by layer (warm scratch) ----------
+        // Phase 1 groups the fixture onto the allocation, the quotient
+        // graph is built from that grouping, and `map_tasks` is the
+        // whole direct map (UMC) those two layers feed.
+        let pipe_cfg = PipelineConfig::default();
+        let mut group: Vec<u32> = Vec::new();
+        samples.push(bench_ns(&row("phase1"), &preset.opts, || {
+            group_tasks_with(
+                &tg,
+                &alloc,
+                &pipe_cfg.ml,
+                &mut scratch.partition,
+                &mut group,
+            );
+            group.len()
+        }));
+        let mut quotient = TaskGraph::default();
+        let mut quotient_scratch = TaskGraphScratch::new();
+        samples.push(bench_ns(&row("quotient"), &preset.opts, || {
+            tg.group_quotient_into(
+                &group,
+                alloc.num_nodes(),
+                false,
+                &mut quotient,
+                &mut quotient_scratch,
+            );
+            quotient.num_messages()
+        }));
+        samples.push(bench_ns(&row("map_tasks"), &preset.opts, || {
+            map_tasks_with(
+                &tg,
+                machine,
+                &alloc,
+                MapperKind::GreedyMc,
+                &pipe_cfg,
+                &mut scratch,
+            )
+            .fine_mapping
+            .len()
+        }));
 
         // --- Multilevel coarsen–map–refine (warm hierarchy) ----------
         // A task graph ~10²× the allocation: the full engine run —

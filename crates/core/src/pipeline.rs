@@ -21,7 +21,9 @@
 //! make one `greedy_map_into` call followed by `refine` calls.
 //!
 //! Serving shape: [`map_tasks_with`] threads a warm [`MapperScratch`]
-//! through phase 2 so its hot path is allocation-free, and [`map_many`]
+//! through both phases — phase 1 through [`group_tasks_with`], the
+//! quotient graphs, then phase 2 — so a warm map allocates only the
+//! two vectors it returns, and [`map_many`]
 //! batches requests — sequentially through one scratch, or (with the
 //! `parallel` feature, which parallelizes nothing else) across a
 //! per-worker scratch pool with outputs in request order, bit-identical
@@ -30,7 +32,7 @@
 use std::time::{Duration, Instant};
 
 use umpa_graph::TaskGraph;
-use umpa_partition::{fix_balance, recursive_bisection, MlConfig};
+use umpa_partition::{fix_balance_with, recursive_bisection_into, MlConfig, PartitionScratch};
 use umpa_topology::{Allocation, Machine};
 
 use crate::baselines::{def_groups, def_mapping, smap_mapping, tmap_mapping};
@@ -220,13 +222,33 @@ pub struct MappingOutcome {
 /// Phase 1: groups the fine tasks into `|Va|` node groups with exact
 /// balance (recursive bisection + one FM balance iteration).
 pub fn group_tasks(fine: &TaskGraph, alloc: &Allocation, ml: &MlConfig) -> Vec<u32> {
-    let targets: Vec<f64> = (0..alloc.num_nodes())
-        .map(|s| f64::from(alloc.procs(s)))
-        .collect();
-    let g = fine.symmetric();
-    let mut group = recursive_bisection(g, &targets, ml);
-    fix_balance(g, &mut group, &targets, 0.0);
+    let mut group = Vec::new();
+    group_tasks_with(
+        fine,
+        alloc,
+        ml,
+        &mut PartitionScratch::default(),
+        &mut group,
+    );
     group
+}
+
+/// [`group_tasks`] into `group`, reusing `scratch`: allocation-free
+/// once both are warm, and bit-identical to [`group_tasks`].
+pub fn group_tasks_with(
+    fine: &TaskGraph,
+    alloc: &Allocation,
+    ml: &MlConfig,
+    scratch: &mut PartitionScratch,
+    group: &mut Vec<u32>,
+) {
+    let mut targets = std::mem::take(&mut scratch.targets);
+    targets.clear();
+    targets.extend((0..alloc.num_nodes()).map(|s| f64::from(alloc.procs(s))));
+    let g = fine.symmetric();
+    recursive_bisection_into(g, &targets, ml, scratch, group);
+    fix_balance_with(g, group, &targets, 0.0, &mut scratch.balance);
+    scratch.targets = targets;
 }
 
 /// Runs the full two-phase pipeline for one mapper.
@@ -266,9 +288,10 @@ pub fn map_tasks(
     map_tasks_with(fine, machine, alloc, kind, cfg, &mut MapperScratch::new())
 }
 
-/// [`map_tasks`] with a caller-owned [`MapperScratch`]: phase 2 (the
-/// timed mapping algorithm) reuses the scratch's buffers and performs
-/// no heap allocations once the scratch is warm — the steady-state
+/// [`map_tasks`] with a caller-owned [`MapperScratch`]: phase 1, the
+/// quotient graphs and phase 2 (the timed mapping algorithm) reuse the
+/// scratch's buffers, so once the scratch is warm a greedy-family map
+/// allocates only the two vectors of its outcome — the steady-state
 /// serving path. Results are bit-identical to [`map_tasks`].
 pub fn map_tasks_with(
     fine: &TaskGraph,
@@ -290,9 +313,27 @@ pub fn map_tasks_with(
         };
     }
     // Phase 1 — common preprocessing (untimed, shared by all mappers).
-    let group_of = group_tasks(fine, alloc, &cfg.ml);
+    let mut group_of = Vec::new();
+    group_tasks_with(fine, alloc, &cfg.ml, &mut scratch.partition, &mut group_of);
     let n_groups = alloc.num_nodes();
-    let coarse_vol = fine.group_quotient(&group_of, n_groups, false);
+    fine.group_quotient_into(
+        &group_of,
+        n_groups,
+        false,
+        &mut scratch.coarse_vol,
+        &mut scratch.quotient,
+    );
+    if kind.counts_messages() {
+        fine.group_quotient_into(
+            &group_of,
+            n_groups,
+            true,
+            &mut scratch.coarse_cnt,
+            &mut scratch.quotient,
+        );
+    }
+    // `coarse_cnt` is current only for UMMC, the one kind `refine` reads it for.
+    let (coarse_vol, coarse_cnt) = (&scratch.coarse_vol, &scratch.coarse_cnt);
     // Phase 2 — the mapper under test. The greedy family runs through
     // the scratch (allocation-free once warm); the TMAP/SMAP baselines
     // allocate internally, as the systems they model do.
@@ -301,7 +342,7 @@ pub fn map_tasks_with(
     match kind {
         MapperKind::Def => unreachable!(),
         MapperKind::Tmap => {
-            let candidate = tmap_mapping(&coarse_vol, machine, alloc, cfg.seed);
+            let candidate = tmap_mapping(coarse_vol, machine, alloc, cfg.seed);
             // The paper's rule: compare MC against DEF; fall back if not
             // strictly better.
             let fine_candidate = compose(&group_of, &candidate);
@@ -323,7 +364,7 @@ pub fn map_tasks_with(
             }
         }
         MapperKind::Smap => {
-            let m = smap_mapping(&coarse_vol, machine, alloc, cfg.seed);
+            let m = smap_mapping(coarse_vol, machine, alloc, cfg.seed);
             scratch.coarse.clear();
             scratch.coarse.extend_from_slice(&m);
         }
@@ -332,19 +373,16 @@ pub fn map_tasks_with(
         | MapperKind::GreedyMc
         | MapperKind::GreedyMmc => {
             greedy_map_into(
-                &coarse_vol,
+                coarse_vol,
                 machine,
                 alloc,
                 &cfg.greedy,
                 &mut scratch.greedy,
                 &mut scratch.coarse,
             );
-            let coarse_cnt = kind
-                .counts_messages()
-                .then(|| fine.group_quotient(&group_of, n_groups, true));
             kind.refine(
-                &coarse_vol,
-                coarse_cnt.as_ref().unwrap_or(&coarse_vol),
+                coarse_vol,
+                coarse_cnt,
                 machine,
                 alloc,
                 &mut scratch.coarse,

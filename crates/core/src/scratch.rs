@@ -1,16 +1,17 @@
 //! [`MapperScratch`] — the reusable workspace of the mapping engine.
 //!
-//! Every hot-path algorithm (Algorithm 1 greedy growth, Algorithm 2 WH
+//! Every hot-path algorithm (phase-1 recursive bisection and balance,
+//! the quotient graphs, Algorithm 1 greedy growth, Algorithm 2 WH
 //! refinement, Algorithm 3 congestion refinement) owns per-run buffers:
-//! BFS queues and visit marks, indexed heaps, capacity vectors, slot
-//! residency registries, routing and delta accumulators. Allocating
-//! them per call dominates small-problem runtimes and defeats the
-//! paper's headline speed claim. A [`MapperScratch`] owns all of them;
-//! threading one warm scratch through
+//! coarse levels, BFS queues and visit marks, indexed heaps, capacity
+//! vectors, slot residency registries, routing and delta accumulators.
+//! Allocating them per call dominates small-problem runtimes and
+//! defeats the paper's headline speed claim. A [`MapperScratch`] owns
+//! all of them; threading one warm scratch through
 //! [`map_tasks_with`](crate::pipeline::map_tasks_with) (or the batched
-//! [`map_many`](crate::pipeline::map_many)) makes the steady-state
-//! mapping phase allocation-free — buffers grow to the high-water mark
-//! of the problems seen and are then reused verbatim.
+//! [`map_many`](crate::pipeline::map_many)) makes a steady-state map
+//! allocate only the two vectors it returns — buffers grow to the
+//! high-water mark of the problems seen and are then reused verbatim.
 //!
 //! Buffers are sized lazily: a scratch built for one machine/task-graph
 //! shape serves any other shape (everything `reset`s on entry), so one
@@ -22,6 +23,9 @@
 //! engine runs it on level graphs borrowed from `multilevel` in the
 //! same scratch.
 
+use umpa_graph::{TaskGraph, TaskGraphScratch};
+use umpa_partition::PartitionScratch;
+
 use crate::cong_refine::CongScratch;
 use crate::greedy::GreedyScratch;
 use crate::multilevel::MultilevelScratch;
@@ -32,6 +36,8 @@ use crate::wh_refine::WhScratch;
 /// docs; create one per worker thread and reuse it across requests.
 #[derive(Default)]
 pub struct MapperScratch {
+    /// Phase-1 recursive bisection and balance buffers.
+    pub partition: PartitionScratch,
     /// Algorithm 1 buffers.
     pub greedy: GreedyScratch,
     /// Algorithm 2 buffers.
@@ -44,6 +50,12 @@ pub struct MapperScratch {
     pub remap: RemapScratch,
     /// Coarse-mapping buffer shared by the pipeline's phase 2.
     pub(crate) coarse: Vec<u32>,
+    /// The pipeline's volume quotient graph.
+    pub(crate) coarse_vol: TaskGraph,
+    /// The pipeline's message-count quotient graph (`UMMC` only).
+    pub(crate) coarse_cnt: TaskGraph,
+    /// Builder buffers of both quotient graphs.
+    pub(crate) quotient: TaskGraphScratch,
 }
 
 impl MapperScratch {

@@ -15,6 +15,13 @@ pub struct Graph {
     vwgt: Vec<f64>,
 }
 
+impl Default for Graph {
+    /// The graph with no vertices.
+    fn default() -> Self {
+        Self::empty(0)
+    }
+}
+
 impl Graph {
     /// Builds directly from CSR arrays. `xadj.len() == vwgt.len() + 1`,
     /// `adj.len() == ewgt.len() == xadj[last]`.
@@ -171,23 +178,62 @@ impl Graph {
     /// Extracts the subgraph induced by `vertices` (edges with both
     /// endpoints inside). Returns the subgraph — whose vertex `i`
     /// corresponds to `vertices[i]` — so callers keep the id mapping.
+    /// `vertices` must be strictly ascending; see
+    /// [`induced_subgraph_into`](Self::induced_subgraph_into).
     pub fn induced_subgraph(&self, vertices: &[u32]) -> Graph {
-        let mut local = vec![u32::MAX; self.num_vertices()];
+        let mut out = Graph::empty(0);
+        self.induced_subgraph_into(vertices, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`induced_subgraph`](Self::induced_subgraph) into an existing
+    /// graph, reusing its CSR buffers. `local` is a global→local id
+    /// buffer: it grows to `self.num_vertices()` entries of `u32::MAX`
+    /// and is left that way, so one warm buffer serves every call.
+    ///
+    /// A direct filter of the CSR rows: because `vertices` is strictly
+    /// ascending, local ids are monotone in global ids, so every
+    /// filtered row of a graph whose rows are sorted and duplicate-free
+    /// (anything [`GraphBuilder`] or [`symmetrize_into`](Self::symmetrize_into)
+    /// produced) comes out sorted and duplicate-free — exactly the graph
+    /// a `GraphBuilder` would build from the same induced edges.
+    /// Self-loops are dropped, as the builder drops them.
+    /// Allocation-free once `local` and `out` are warm.
+    pub fn induced_subgraph_into(&self, vertices: &[u32], local: &mut Vec<u32>, out: &mut Graph) {
+        assert!(
+            vertices.windows(2).all(|w| w[0] < w[1]),
+            "vertices must be strictly ascending"
+        );
+        if local.len() < self.num_vertices() {
+            local.resize(self.num_vertices(), u32::MAX);
+        }
         for (i, &v) in vertices.iter().enumerate() {
-            debug_assert!(local[v as usize] == u32::MAX, "duplicate vertex");
             local[v as usize] = i as u32;
         }
-        let mut b = GraphBuilder::new(vertices.len());
-        for (i, &v) in vertices.iter().enumerate() {
+        out.xadj.clear();
+        out.xadj.push(0);
+        out.adj.clear();
+        out.ewgt.clear();
+        out.vwgt.clear();
+        for &v in vertices {
+            let row_start = out.adj.len();
             for (n, w) in self.edges(v) {
                 let ln = local[n as usize];
-                if ln != u32::MAX {
-                    b.add_edge(i as u32, ln, w);
+                if ln != u32::MAX && n != v {
+                    out.adj.push(ln);
+                    out.ewgt.push(w);
                 }
             }
+            debug_assert!(
+                out.adj[row_start..].windows(2).all(|w| w[0] < w[1]),
+                "row of vertex {v} is not sorted and duplicate-free"
+            );
+            out.xadj.push(out.adj.len());
+            out.vwgt.push(self.vwgt[v as usize]);
         }
-        b.vertex_weights(vertices.iter().map(|&v| self.vertex_weight(v)).collect());
-        b.build_directed()
+        for &v in vertices {
+            local[v as usize] = u32::MAX;
+        }
     }
 }
 
@@ -534,5 +580,42 @@ mod tests {
         let g = b.build_directed();
         assert_eq!(g.weighted_degree(0), 5.0);
         assert_eq!(g.weighted_degree(1), 0.0);
+    }
+
+    #[test]
+    fn induced_subgraph_filter_matches_the_builder() {
+        // The CSR filter must produce exactly the graph a builder makes
+        // from the same induced edges, for any ascending vertex subset.
+        let n = 40u32;
+        let mut b = GraphBuilder::new(n as usize);
+        for u in 0..n {
+            for d in [1, 3, 7] {
+                b.add_edge(u, (u * 5 + d) % n, f64::from(1 + (u + d) % 4));
+            }
+            b.add_edge(u, u, 9.0);
+        }
+        b.vertex_weights((0..n).map(|v| 1.0 + f64::from(v % 3)).collect());
+        let g = b.build_symmetric();
+        let mut local = Vec::new();
+        let mut sub = Graph::default();
+        for stride in 1..5u32 {
+            let vertices: Vec<u32> = (0..n).filter(|v| v % stride != 1).collect();
+            let mut local_of = vec![u32::MAX; n as usize];
+            for (i, &v) in vertices.iter().enumerate() {
+                local_of[v as usize] = i as u32;
+            }
+            let mut reference = GraphBuilder::new(vertices.len());
+            for (i, &v) in vertices.iter().enumerate() {
+                for (u, w) in g.edges(v) {
+                    if local_of[u as usize] != u32::MAX {
+                        reference.add_edge(i as u32, local_of[u as usize], w);
+                    }
+                }
+            }
+            reference.vertex_weights(vertices.iter().map(|&v| g.vertex_weight(v)).collect());
+            g.induced_subgraph_into(&vertices, &mut local, &mut sub);
+            assert_eq!(sub, reference.build_directed(), "stride {stride}");
+            assert!(local.iter().all(|&l| l == u32::MAX));
+        }
     }
 }

@@ -10,39 +10,74 @@
 use umpa_ds::IndexedMaxHeap;
 use umpa_graph::Graph;
 
-use crate::metrics::part_weights;
+use crate::metrics::part_weights_into;
 
+/// Reusable buffers of [`fix_balance_with`]: part weights and limits,
+/// the candidate heap and the per-part connectivity accumulator.
+#[derive(Default)]
+pub struct BalanceScratch {
+    weights: Vec<f64>,
+    limit: Vec<f64>,
+    heap: IndexedMaxHeap,
+    conn: Vec<f64>,
+    touched: Vec<u32>,
+}
+
+// tidy-cold-region: convenience entry point that owns its scratch; the
+// allocation-free form is `fix_balance_with`
 /// Moves vertices out of parts exceeding `targets[p] * (1 + epsilon)`
 /// until every part fits (or no helpful move remains). A single
 /// FM-style iteration: each vertex moves at most once, best-gain first.
 ///
 /// Returns the number of vertices moved.
 pub fn fix_balance(g: &Graph, part: &mut [u32], targets: &[f64], epsilon: f64) -> usize {
+    fix_balance_with(g, part, targets, epsilon, &mut BalanceScratch::default())
+}
+// tidy-end-cold-region
+
+/// [`fix_balance`] reusing `scratch`. Allocation-free once warm.
+pub fn fix_balance_with(
+    g: &Graph,
+    part: &mut [u32],
+    targets: &[f64],
+    epsilon: f64,
+    scratch: &mut BalanceScratch,
+) -> usize {
     let n = g.num_vertices();
     let k = targets.len();
-    let mut weights = part_weights(g, part, k);
-    let limit: Vec<f64> = targets.iter().map(|t| t * (1.0 + epsilon)).collect();
+    let BalanceScratch {
+        weights,
+        limit,
+        heap,
+        conn,
+        touched,
+    } = scratch;
+    part_weights_into(g, part, k, weights);
+    limit.clear();
+    limit.extend(targets.iter().map(|t| t * (1.0 + epsilon)));
+    let limit = &limit[..];
     let overloaded = |weights: &[f64], p: usize| weights[p] > limit[p] + 1e-12;
-    if !(0..k).any(|p| overloaded(&weights, p)) {
+    if !(0..k).any(|p| overloaded(weights, p)) {
         return 0;
     }
     // Priority: vertices in overloaded parts, keyed by the edge-cut gain
     // of their best alternative part (computed lazily at pop time; the
     // heap key is an upper bound refreshed on pop — a standard lazy
     // re-evaluation scheme that keeps one pass near-linear).
-    let mut heap = IndexedMaxHeap::new(n);
+    heap.reset(n);
     for v in 0..n as u32 {
-        if overloaded(&weights, part[v as usize] as usize) {
+        if overloaded(weights, part[v as usize] as usize) {
             // Initial optimistic key: total incident weight (max possible gain).
             heap.push(v, g.weighted_degree(v));
         }
     }
     let mut moved = 0usize;
-    let mut conn: Vec<f64> = vec![0.0; k];
-    let mut touched: Vec<u32> = Vec::new();
+    conn.clear();
+    conn.resize(k, 0.0);
+    touched.clear();
     while let Some((v, key)) = heap.pop() {
         let from = part[v as usize] as usize;
-        if !overloaded(&weights, from) {
+        if !overloaded(weights, from) {
             continue; // its part got fixed meanwhile
         }
         // Connectivity of v to each part.
@@ -73,12 +108,12 @@ pub fn fix_balance(g: &Graph, part: &mut [u32], targets: &[f64], epsilon: f64) -
             }
         };
         let conn_from = conn[from];
-        for &p in &touched {
-            consider(&mut best, p as usize, conn[p as usize], conn_from, &weights);
+        for &p in touched.iter() {
+            consider(&mut best, p as usize, conn[p as usize], conn_from, weights);
         }
         if best.is_none() {
             for to in 0..k {
-                consider(&mut best, to, 0.0, conn_from, &weights);
+                consider(&mut best, to, 0.0, conn_from, weights);
             }
         }
         // Lazy key refresh: if the true gain is lower than the heap key
@@ -88,7 +123,7 @@ pub fn fix_balance(g: &Graph, part: &mut [u32], targets: &[f64], epsilon: f64) -
                 if let Some(&(_, next_key)) = heap.peek().as_ref() {
                     if gain < next_key {
                         heap.push(v, gain);
-                        for &p in &touched {
+                        for &p in touched.iter() {
                             conn[p as usize] = 0.0;
                         }
                         continue;
@@ -108,10 +143,10 @@ pub fn fix_balance(g: &Graph, part: &mut [u32], targets: &[f64], epsilon: f64) -
                 }
             }
         }
-        for &p in &touched {
+        for &p in touched.iter() {
             conn[p as usize] = 0.0;
         }
-        if !(0..k).any(|p| overloaded(&weights, p)) {
+        if !(0..k).any(|p| overloaded(weights, p)) {
             break;
         }
     }

@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use umpa_ds::IndexedMaxHeap;
 use umpa_graph::Graph;
 
-use crate::coarsen::coarsen_until;
+use crate::coarsen::{coarsen_until_into, CoarseLevel, CoarsenScratch};
 
 /// Parameters of a (multilevel) bisection.
 #[derive(Clone, Copy, Debug)]
@@ -36,6 +36,36 @@ impl Default for BisectConfig {
     }
 }
 
+/// Reusable buffers of one multilevel bisection: the coarsening
+/// hierarchy, the side double buffer, the growing heap and degree
+/// table, and FM's gains, locks, move log and two heaps. Every buffer
+/// grows to the high-water mark of the graphs seen and is then reused,
+/// so a warm scratch bisects with zero heap allocations.
+#[derive(Default)]
+pub struct BisectScratch {
+    coarsen: CoarsenScratch,
+    levels: Vec<CoarseLevel>,
+    /// Projection target while uncoarsening.
+    fine_side: Vec<u8>,
+    /// The current growth of [`initial_bisection_into`].
+    trial: Vec<u8>,
+    /// Weighted degree per vertex, filled once per initial bisection.
+    degree: Vec<f64>,
+    conn: IndexedMaxHeap,
+    fm: FmScratch,
+}
+
+/// FM's per-pass buffers (see [`fm_refine`]).
+#[derive(Default)]
+struct FmScratch {
+    gain: Vec<f64>,
+    locked: Vec<bool>,
+    moves: Vec<u32>,
+    /// Vertex ids of side 0 and side 1, the heaps' bulk-load lists.
+    ids: [Vec<u32>; 2],
+    heaps: [IndexedMaxHeap; 2],
+}
+
 /// Side weights of a bisection.
 fn side_weights(g: &Graph, side: &[u8]) -> (f64, f64) {
     let mut wl = 0.0;
@@ -53,20 +83,34 @@ fn side_weights(g: &Graph, side: &[u8]) -> (f64, f64) {
 /// Cut weight of a bisection (undirected edges counted once).
 pub fn bisection_cut(g: &Graph, side: &[u8]) -> f64 {
     let mut cut = 0.0;
-    for (u, v, w) in g.all_edges() {
-        if side[u as usize] != side[v as usize] {
-            cut += w;
+    for u in 0..g.num_vertices() as u32 {
+        let su = side[u as usize];
+        for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
+            if side[v as usize] != su {
+                cut += w;
+            }
         }
     }
     cut / 2.0
 }
 
-/// Greedy graph growing: grows side 0 from a seed vertex by maximum
-/// connectivity until it reaches `target_left` weight.
-fn grow_from(g: &Graph, seed_vertex: u32, target_left: f64) -> Vec<u8> {
+/// Greedy graph growing into `side`: grows side 0 from a seed vertex by
+/// maximum connectivity until it reaches `target_left` weight. When the
+/// reached component is exhausted it jumps to the unreached vertex of
+/// highest weighted degree (ties toward the smaller id); `degree`
+/// holds those degrees, precomputed by the caller.
+fn grow_from(
+    g: &Graph,
+    seed_vertex: u32,
+    target_left: f64,
+    degree: &[f64],
+    conn: &mut IndexedMaxHeap,
+    side: &mut Vec<u8>,
+) {
     let n = g.num_vertices();
-    let mut side = vec![1u8; n];
-    let mut conn = IndexedMaxHeap::new(n);
+    side.clear();
+    side.resize(n, 1);
+    conn.reset(n);
     let mut weight = 0.0;
     let mut grown = 0usize;
     let mut cursor = seed_vertex;
@@ -91,8 +135,8 @@ fn grow_from(g: &Graph, seed_vertex: u32, target_left: f64) -> Vec<u8> {
                 match (0..n as u32)
                     .filter(|&u| side[u as usize] == 1)
                     .max_by(|&a, &b| {
-                        g.weighted_degree(a)
-                            .partial_cmp(&g.weighted_degree(b))
+                        degree[a as usize]
+                            .partial_cmp(&degree[b as usize])
                             .unwrap()
                             .then(b.cmp(&a))
                     }) {
@@ -102,24 +146,23 @@ fn grow_from(g: &Graph, seed_vertex: u32, target_left: f64) -> Vec<u8> {
             }
         };
     }
-    side
 }
 
+// tidy-cold-region: convenience entry points that own their scratch and
+// result; the allocation-free forms are the `_into`/`_with` functions
+// with a warm `BisectScratch`
 /// Initial bisection: best-of-`trials` greedy growths from random seeds.
 pub fn initial_bisection(g: &Graph, target_left: f64, trials: u32, seed: u64) -> Vec<u8> {
-    let n = g.num_vertices();
-    assert!(n >= 2, "cannot bisect fewer than two vertices");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut best: Option<(f64, Vec<u8>)> = None;
-    for _ in 0..trials.max(1) {
-        let s = rng.gen_range(0..n as u32);
-        let side = grow_from(g, s, target_left);
-        let cut = bisection_cut(g, &side);
-        if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
-            best = Some((cut, side));
-        }
-    }
-    best.unwrap().1
+    let mut side = Vec::new();
+    initial_bisection_into(
+        g,
+        target_left,
+        trials,
+        seed,
+        &mut BisectScratch::default(),
+        &mut side,
+    );
+    side
 }
 
 /// One FM refinement run (up to `max_passes` passes) on a bisection.
@@ -137,7 +180,89 @@ pub fn fm_refine(
     epsilon: f64,
     max_passes: u32,
 ) -> f64 {
+    fm_refine_with(
+        g,
+        side,
+        target_left,
+        target_right,
+        epsilon,
+        max_passes,
+        &mut BisectScratch::default(),
+    )
+}
+
+/// Multilevel bisection: coarsen, grow, refine while uncoarsening.
+///
+/// `target_left` is the desired total vertex weight of side 0.
+pub fn multilevel_bisect(g: &Graph, target_left: f64, cfg: &BisectConfig) -> Vec<u8> {
+    let mut side = Vec::new();
+    multilevel_bisect_into(
+        g,
+        target_left,
+        cfg,
+        &mut BisectScratch::default(),
+        &mut side,
+    );
+    side
+}
+// tidy-end-cold-region
+
+/// [`initial_bisection`] into `side`, reusing `scratch`.
+/// Allocation-free once both are warm.
+pub fn initial_bisection_into(
+    g: &Graph,
+    target_left: f64,
+    trials: u32,
+    seed: u64,
+    scratch: &mut BisectScratch,
+    side: &mut Vec<u8>,
+) {
     let n = g.num_vertices();
+    assert!(n >= 2, "cannot bisect fewer than two vertices");
+    let BisectScratch {
+        trial,
+        degree,
+        conn,
+        ..
+    } = scratch;
+    degree.clear();
+    degree.extend((0..n as u32).map(|v| g.weighted_degree(v)));
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut best_cut = f64::INFINITY;
+    for t in 0..trials.max(1) {
+        let s = rng.gen_range(0..n as u32);
+        grow_from(g, s, target_left, degree, conn, trial);
+        let cut = bisection_cut(g, trial);
+        // The first trial always wins, even at an infinite or NaN cut.
+        if t == 0 || cut < best_cut {
+            best_cut = cut;
+            std::mem::swap(side, trial);
+        }
+    }
+}
+
+/// [`fm_refine`] reusing `scratch`. Allocation-free once warm.
+///
+/// Each pass bulk-loads the two heaps with
+/// [`IndexedMaxHeap::rebuild_sparse`]; their pop order depends only on
+/// the (key, id) set, so the moves are the ones sequential pushes give.
+pub fn fm_refine_with(
+    g: &Graph,
+    side: &mut [u8],
+    target_left: f64,
+    target_right: f64,
+    epsilon: f64,
+    max_passes: u32,
+    scratch: &mut BisectScratch,
+) -> f64 {
+    let n = g.num_vertices();
+    let FmScratch {
+        gain,
+        locked,
+        moves,
+        ids,
+        heaps,
+    } = &mut scratch.fm;
     let limit_l = target_left * (1.0 + epsilon);
     let limit_r = target_right * (1.0 + epsilon);
     // States are ranked by (overload, cut), lexicographically: a balanced
@@ -148,20 +273,30 @@ pub fn fm_refine(
     for _ in 0..max_passes {
         let (mut wl, mut wr) = side_weights(g, side);
         // Gains: external − internal edge weight.
-        let mut gain = vec![0.0f64; n];
-        for (u, v, w) in g.all_edges() {
-            if side[u as usize] != side[v as usize] {
-                gain[u as usize] += w;
-            } else {
-                gain[u as usize] -= w;
+        gain.clear();
+        gain.extend((0..n as u32).map(|u| {
+            let su = side[u as usize];
+            let mut gu = 0.0;
+            for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
+                if side[v as usize] != su {
+                    gu += w;
+                } else {
+                    gu -= w;
+                }
             }
-        }
-        let mut heaps = [IndexedMaxHeap::new(n), IndexedMaxHeap::new(n)];
+            gu
+        }));
+        ids[0].clear();
+        ids[1].clear();
         for v in 0..n as u32 {
-            heaps[side[v as usize] as usize].push(v, gain[v as usize]);
+            ids[side[v as usize] as usize].push(v);
         }
-        let mut locked = vec![false; n];
-        let mut moves: Vec<u32> = Vec::new();
+        for s in 0..2 {
+            heaps[s].rebuild_sparse(n, &ids[s], |v| gain[v as usize]);
+        }
+        locked.clear();
+        locked.resize(n, false);
+        moves.clear();
         let mut best_prefix = 0usize;
         let mut running = cut;
         let mut best = (overload(wl, wr), cut);
@@ -242,42 +377,62 @@ pub fn fm_refine(
     cut
 }
 
-/// Multilevel bisection: coarsen, grow, refine while uncoarsening.
-///
-/// `target_left` is the desired total vertex weight of side 0.
-pub fn multilevel_bisect(g: &Graph, target_left: f64, cfg: &BisectConfig) -> Vec<u8> {
+/// [`multilevel_bisect`] into `side`, reusing `scratch` for the whole
+/// V-cycle. Allocation-free once both are warm.
+pub fn multilevel_bisect_into(
+    g: &Graph,
+    target_left: f64,
+    cfg: &BisectConfig,
+    scratch: &mut BisectScratch,
+    side: &mut Vec<u8>,
+) {
     let total = g.total_vertex_weight();
     let target_right = total - target_left;
-    let levels = coarsen_until(g, cfg.coarsen_to, cfg.seed);
-    let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
-    let mut side = initial_bisection(coarsest, target_left, cfg.init_trials, cfg.seed);
-    fm_refine(
+    let mut levels = std::mem::take(&mut scratch.levels);
+    let depth = coarsen_until_into(
+        g,
+        cfg.coarsen_to,
+        cfg.seed,
+        &mut scratch.coarsen,
+        &mut levels,
+    );
+    let coarsest = levels[..depth].last().map_or(g, |l| &l.graph);
+    initial_bisection_into(
         coarsest,
-        &mut side,
+        target_left,
+        cfg.init_trials,
+        cfg.seed,
+        scratch,
+        side,
+    );
+    fm_refine_with(
+        coarsest,
+        side,
         target_left,
         target_right,
         cfg.epsilon,
         cfg.fm_passes,
+        scratch,
     );
     // Project back through the levels, refining at each.
-    for i in (0..levels.len()).rev() {
+    for i in (0..depth).rev() {
         let finer = if i == 0 { g } else { &levels[i - 1].graph };
         let map = &levels[i].map;
-        let mut fine_side = vec![0u8; finer.num_vertices()];
-        for v in 0..finer.num_vertices() {
-            fine_side[v] = side[map[v] as usize];
-        }
-        side = fine_side;
-        fm_refine(
+        let fine_side = &mut scratch.fine_side;
+        fine_side.clear();
+        fine_side.extend(map.iter().map(|&c| side[c as usize]));
+        std::mem::swap(side, fine_side);
+        fm_refine_with(
             finer,
-            &mut side,
+            side,
             target_left,
             target_right,
             cfg.epsilon,
             cfg.fm_passes,
+            scratch,
         );
     }
-    side
+    scratch.levels = levels;
 }
 
 #[cfg(test)]
@@ -304,7 +459,16 @@ mod tests {
     #[test]
     fn grow_reaches_target_weight() {
         let g = grid(8, 8);
-        let side = grow_from(&g, 0, 32.0);
+        let degree: Vec<f64> = (0..64).map(|v| g.weighted_degree(v)).collect();
+        let mut side = Vec::new();
+        grow_from(
+            &g,
+            0,
+            32.0,
+            &degree,
+            &mut IndexedMaxHeap::default(),
+            &mut side,
+        );
         let (wl, wr) = side_weights(&g, &side);
         assert_eq!(wl, 32.0);
         assert_eq!(wr, 32.0);
@@ -374,5 +538,24 @@ mod tests {
         let side = multilevel_bisect(&g, 16.0, &BisectConfig::default());
         let (wl, wr) = side_weights(&g, &side);
         assert!((wl - 16.0).abs() <= 2.0, "wl={wl} wr={wr}");
+    }
+
+    #[test]
+    fn warm_scratch_bisects_like_a_fresh_one() {
+        // One scratch across graphs of different sizes, coarsening and
+        // not, gives the sides a fresh scratch gives.
+        let mut scratch = BisectScratch::default();
+        let mut side = Vec::new();
+        for (nx, ny, seed) in [(16, 16, 1), (6, 5, 2), (20, 12, 3), (16, 16, 4)] {
+            let g = grid(nx, ny);
+            let cfg = BisectConfig {
+                seed,
+                coarsen_to: 24,
+                ..BisectConfig::default()
+            };
+            let target = g.total_vertex_weight() * 0.4;
+            multilevel_bisect_into(&g, target, &cfg, &mut scratch, &mut side);
+            assert_eq!(side, multilevel_bisect(&g, target, &cfg), "{nx}x{ny}");
+        }
     }
 }

@@ -13,7 +13,7 @@ use rand_chacha::ChaCha8Rng;
 use umpa_graph::{Graph, GraphBuilder};
 
 /// One coarsening step: the coarse graph and the fine→coarse map.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CoarseLevel {
     /// The coarse graph.
     pub graph: Graph,
@@ -21,13 +21,33 @@ pub struct CoarseLevel {
     pub map: Vec<u32>,
 }
 
+// tidy-cold-region: convenience wrappers that own their scratch and
+// levels; the allocation-free forms are `coarsen_step_into` and
+// `coarsen_until_into` with warm buffers
 /// Matches vertices by the heavy-edge rule and builds the coarse graph.
 ///
 /// Returns `None` if matching cannot shrink the graph by at least 10 %
 /// (isolated vertices and star graphs eventually stall).
 pub fn coarsen_step(g: &Graph, seed: u64) -> Option<CoarseLevel> {
-    coarsen_step_with(g, seed, &mut CoarsenScratch::default())
+    let mut level = CoarseLevel::default();
+    coarsen_step_into(g, seed, &mut CoarsenScratch::default(), &mut level).then_some(level)
 }
+
+/// Coarsens until `target_size` vertices or a stall; returns the levels
+/// from finest to coarsest (empty if `g` is already small enough).
+pub fn coarsen_until(g: &Graph, target_size: usize, seed: u64) -> Vec<CoarseLevel> {
+    let mut levels = Vec::new();
+    let n = coarsen_until_into(
+        g,
+        target_size,
+        seed,
+        &mut CoarsenScratch::default(),
+        &mut levels,
+    );
+    levels.truncate(n);
+    levels
+}
+// tidy-end-cold-region
 
 /// Heavy-edge matching over `g` into caller-owned buffers: visit
 /// vertices in a seeded-shuffle order; match each unmatched vertex
@@ -102,72 +122,95 @@ pub fn heavy_edge_matching(
     next as usize
 }
 
-/// Reusable workspace for a coarsening loop: the CSR builder plus the
-/// matching buffers, amortized across levels (the same buffer-reuse
-/// discipline as `umpa_core::multilevel`'s hierarchy). The per-level
-/// fine→coarse `map` is *not* here — each [`CoarseLevel`] owns its map.
+/// Reusable workspace for a coarsening loop: the CSR builder, the
+/// matching buffers and the coarse vertex weights, amortized across
+/// levels (the same buffer-reuse discipline as `umpa_core::multilevel`'s
+/// hierarchy). The per-level fine→coarse `map` is *not* here — each
+/// [`CoarseLevel`] owns its map.
 #[derive(Default)]
 pub struct CoarsenScratch {
     builder: GraphBuilder,
     order: Vec<u32>,
     mate: Vec<u32>,
+    vwgt: Vec<f64>,
 }
 
-/// [`coarsen_step`] reusing a caller-owned [`CoarsenScratch`].
-pub fn coarsen_step_with(
+/// [`coarsen_step`] into a caller-owned level, reusing `scratch` and
+/// the level's buffers. Returns `false` (leaving `level` unspecified)
+/// when matching cannot shrink the graph by at least 10 %.
+/// Allocation-free once `scratch` and `level` are warm.
+pub fn coarsen_step_into(
     g: &Graph,
     seed: u64,
     scratch: &mut CoarsenScratch,
-) -> Option<CoarseLevel> {
+    level: &mut CoarseLevel,
+) -> bool {
     let n = g.num_vertices();
     let CoarsenScratch {
         builder,
         order,
         mate,
+        vwgt,
     } = scratch;
-    let mut map = Vec::new();
-    let coarse_n = heavy_edge_matching(g, seed, |_, _| true, order, mate, &mut map);
+    let map = &mut level.map;
+    let coarse_n = heavy_edge_matching(g, seed, |_, _| true, order, mate, map);
     if coarse_n as f64 > 0.9 * n as f64 {
-        return None;
+        return false;
     }
     // Coarse vertex weights and edges.
-    let mut vwgt = vec![0.0; coarse_n];
+    vwgt.clear();
+    vwgt.resize(coarse_n, 0.0);
     for v in 0..n {
         vwgt[map[v] as usize] += g.vertex_weight(v as u32);
     }
     builder.reset(coarse_n);
-    for (u, v, w) in g.all_edges() {
-        let (cu, cv) = (map[u as usize], map[v as usize]);
-        if cu != cv {
-            builder.add_edge(cu, cv, w);
+    for u in 0..n as u32 {
+        let cu = map[u as usize];
+        for (&v, &w) in g.neighbors(u).iter().zip(g.edge_weights(u)) {
+            let cv = map[v as usize];
+            if cu != cv {
+                builder.add_edge(cu, cv, w);
+            }
         }
     }
-    builder.vertex_weights(vwgt);
+    builder.set_vertex_weights_from(vwgt.iter().copied());
     // The fine graph is symmetric; merging duplicates directionally
     // keeps it symmetric, so a directed build suffices.
-    let mut graph = Graph::empty(0);
-    builder.build_directed_into(&mut graph);
-    Some(CoarseLevel { graph, map })
+    builder.build_directed_into(&mut level.graph);
+    true
 }
 
-/// Coarsens until `target_size` vertices or a stall; returns the levels
-/// from finest to coarsest (empty if `g` is already small enough).
-pub fn coarsen_until(g: &Graph, target_size: usize, seed: u64) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut scratch = CoarsenScratch::default();
-    let mut round = 0u64;
+/// Coarsens until `target_size` vertices or a stall into `levels`,
+/// finest to coarsest, and returns how many levels were built (0 if
+/// `g` is already small enough). Entries of `levels` past that count
+/// are spare buffers kept for the next call: the vector only grows, so
+/// a warm `levels` and `scratch` make the whole loop allocation-free.
+pub fn coarsen_until_into(
+    g: &Graph,
+    target_size: usize,
+    seed: u64,
+    scratch: &mut CoarsenScratch,
+    levels: &mut Vec<CoarseLevel>,
+) -> usize {
+    let mut built = 0usize;
     loop {
-        let current = levels.last().map(|l| &l.graph).unwrap_or(g);
-        if current.num_vertices() <= target_size {
-            break;
+        if levels.len() == built {
+            levels.push(CoarseLevel::default());
         }
-        match coarsen_step_with(current, seed.wrapping_add(round), &mut scratch) {
-            Some(level) => levels.push(level),
-            None => break,
+        let (done, rest) = levels.split_at_mut(built);
+        let current = done.last().map_or(g, |l| &l.graph);
+        if current.num_vertices() <= target_size
+            || !coarsen_step_into(
+                current,
+                seed.wrapping_add(built as u64),
+                scratch,
+                &mut rest[0],
+            )
+        {
+            return built;
         }
-        round += 1;
+        built += 1;
     }
-    levels
 }
 
 #[cfg(test)]
@@ -251,5 +294,21 @@ mod tests {
         // Self-matching shrinks nothing; must return None, not loop.
         assert!(coarsen_step(&g, 3).is_none());
         assert!(coarsen_until(&g, 2, 3).is_empty());
+    }
+
+    #[test]
+    fn warm_levels_coarsen_like_fresh_ones() {
+        let mut scratch = CoarsenScratch::default();
+        let mut levels = Vec::new();
+        for (n, target, seed) in [(12, 20, 7), (8, 10, 1), (16, 30, 2)] {
+            let g = grid(n);
+            let built = coarsen_until_into(&g, target, seed, &mut scratch, &mut levels);
+            let fresh = coarsen_until(&g, target, seed);
+            assert_eq!(built, fresh.len());
+            for (warm, fresh) in levels.iter().zip(&fresh) {
+                assert_eq!(warm.graph, fresh.graph);
+                assert_eq!(warm.map, fresh.map);
+            }
+        }
     }
 }

@@ -22,6 +22,14 @@
 //!   differentiates the volume-minimizing and multi-objective presets;
 //! * [`presets`] — the seven named partitioners of Figure 1;
 //! * [`metrics`] — edge cut and imbalance.
+//!
+//! Every step of the recursive bisection and the balance pass has a
+//! scratch form that reuses caller-owned buffers
+//! ([`recursive_bisection_into`] and [`fix_balance_with`] over one
+//! [`PartitionScratch`]): a warm scratch partitions with zero heap
+//! allocations, bit-identically to the allocating entry points, which
+//! are thin wrappers over a fresh scratch. The mapping pipeline's
+//! phase 1 runs on this path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,10 +42,10 @@ pub mod metrics;
 pub mod presets;
 pub mod recursive;
 
-pub use balance::fix_balance;
+pub use balance::{fix_balance, fix_balance_with, BalanceScratch};
 pub use metrics::{edge_cut, imbalance};
 pub use presets::PartitionerKind;
-pub use recursive::{recursive_bisection, MlConfig};
+pub use recursive::{recursive_bisection, recursive_bisection_into, MlConfig, PartitionScratch};
 
 /// Commonly used items.
 pub mod prelude {

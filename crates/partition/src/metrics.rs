@@ -18,11 +18,18 @@ pub fn edge_cut(g: &Graph, part: &[u32]) -> f64 {
 
 /// Per-part vertex-weight sums.
 pub fn part_weights(g: &Graph, part: &[u32], k: usize) -> Vec<f64> {
-    let mut w = vec![0.0; k];
+    let mut w = Vec::new();
+    part_weights_into(g, part, k, &mut w);
+    w
+}
+
+/// [`part_weights`] into a reused buffer.
+pub fn part_weights_into(g: &Graph, part: &[u32], k: usize, w: &mut Vec<f64>) {
+    w.clear();
+    w.resize(k, 0.0);
     for v in 0..g.num_vertices() {
         w[part[v] as usize] += g.vertex_weight(v as u32);
     }
-    w
 }
 
 /// Maximum relative overload against per-part targets:

@@ -6,9 +6,12 @@
 //! the two recursion branches proportionally, and each branch works on
 //! the induced subgraph.
 
+use std::ops::Range;
+
 use umpa_graph::Graph;
 
-use crate::bisect::{multilevel_bisect, BisectConfig};
+use crate::balance::BalanceScratch;
+use crate::bisect::{multilevel_bisect_into, BisectConfig, BisectScratch};
 
 /// Multilevel configuration for recursive bisection.
 #[derive(Clone, Copy, Debug)]
@@ -49,35 +52,83 @@ impl MlConfig {
     }
 }
 
+/// Reusable buffers of a recursive bisection (and of the balance pass
+/// that follows it in phase 1): the vertex buffer the recursion
+/// stable-partitions in place, the induced subgraph of the current
+/// split, the bisection scratch and the balance scratch. One warm
+/// scratch partitions with zero heap allocations.
+#[derive(Default)]
+pub struct PartitionScratch {
+    /// All vertices, ascending at the start; every recursion node owns
+    /// a contiguous range of it, kept ascending.
+    vertices: Vec<u32>,
+    /// Right-side spill of the in-place stable partition.
+    spill: Vec<u32>,
+    /// Global→local ids for [`Graph::induced_subgraph_into`].
+    local: Vec<u32>,
+    sub: Graph,
+    side: Vec<u8>,
+    bisect: BisectScratch,
+    /// Buffers of [`fix_balance_with`](crate::balance::fix_balance_with).
+    pub balance: BalanceScratch,
+    /// Target weights for callers that derive them per call (phase 1
+    /// reads them off the allocation's processor counts); the
+    /// partitioner itself never reads this buffer.
+    pub targets: Vec<f64>,
+}
+
+// tidy-cold-region: convenience entry point that owns its scratch and
+// result; the allocation-free form is `recursive_bisection_into`
 /// Partitions `g` into `targets.len()` parts; `part[v]` indexes
 /// `targets`. Parts correspond to contiguous target ranges, so part `i`
 /// aims at weight `targets[i]`.
 pub fn recursive_bisection(g: &Graph, targets: &[f64], cfg: &MlConfig) -> Vec<u32> {
-    let k = targets.len();
-    assert!(k >= 1, "need at least one part");
-    let mut part = vec![0u32; g.num_vertices()];
-    if k == 1 {
-        return part;
-    }
-    let vertices: Vec<u32> = (0..g.num_vertices() as u32).collect();
-    split(g, &vertices, targets, 0, cfg, 1, &mut part);
+    let mut part = Vec::new();
+    recursive_bisection_into(g, targets, cfg, &mut PartitionScratch::default(), &mut part);
     part
 }
+// tidy-end-cold-region
 
-/// Recursively splits `vertices` (a subset of `g`) across
-/// `targets[first_part..first_part + targets.len()]`.
+/// [`recursive_bisection`] into `part`, reusing `scratch`.
+/// Allocation-free once both are warm.
+pub fn recursive_bisection_into(
+    g: &Graph,
+    targets: &[f64],
+    cfg: &MlConfig,
+    scratch: &mut PartitionScratch,
+    part: &mut Vec<u32>,
+) {
+    let k = targets.len();
+    assert!(k >= 1, "need at least one part");
+    let n = g.num_vertices();
+    part.clear();
+    part.resize(n, 0);
+    if k == 1 {
+        return;
+    }
+    scratch.vertices.clear();
+    scratch.vertices.extend(0..n as u32);
+    split(g, 0..n, targets, 0, cfg, 1, scratch, part);
+}
+
+/// Recursively splits `scratch.vertices[range]` (a subset of `g`,
+/// ascending) across `targets[first_part..first_part + targets.len()]`.
+#[allow(clippy::too_many_arguments)]
 fn split(
     g: &Graph,
-    vertices: &[u32],
+    range: Range<usize>,
     targets: &[f64],
     first_part: u32,
     cfg: &MlConfig,
     node_id: u64,
+    scratch: &mut PartitionScratch,
     part: &mut [u32],
 ) {
     let k = targets.len();
+    let Range { start, end } = range;
+    let vertices = &mut scratch.vertices[start..end];
     if k == 1 {
-        for &v in vertices {
+        for &v in vertices.iter() {
             part[v as usize] = first_part;
         }
         return;
@@ -92,44 +143,62 @@ fn split(
     }
     let k_left = k / 2;
     let target_left: f64 = targets[..k_left].iter().sum();
-    let sub = g.induced_subgraph(vertices);
+    g.induced_subgraph_into(vertices, &mut scratch.local, &mut scratch.sub);
     // Scale the left target to this subgraph's actual weight: upstream
     // imbalance must not compound downstream.
     let frac = target_left / targets.iter().sum::<f64>();
-    let local_target_left = sub.total_vertex_weight() * frac;
-    let side = multilevel_bisect(&sub, local_target_left, &cfg.bisect_cfg(node_id));
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (i, &v) in vertices.iter().enumerate() {
-        if side[i] == 0 {
-            left.push(v);
+    let local_target_left = scratch.sub.total_vertex_weight() * frac;
+    multilevel_bisect_into(
+        &scratch.sub,
+        local_target_left,
+        &cfg.bisect_cfg(node_id),
+        &mut scratch.bisect,
+        &mut scratch.side,
+    );
+    // Stable partition in place: side-0 vertices compact to the front,
+    // side-1 vertices spill and follow them, both in ascending order.
+    let spill = &mut scratch.spill;
+    spill.clear();
+    let mut n_left = 0usize;
+    for i in 0..vertices.len() {
+        let v = vertices[i];
+        if scratch.side[i] == 0 {
+            vertices[n_left] = v;
+            n_left += 1;
         } else {
-            right.push(v);
+            spill.push(v);
         }
     }
+    vertices[n_left..].copy_from_slice(spill);
     // A degenerate empty side (tiny subgraphs) would lose parts; steal
-    // one vertex to keep every part nonempty when possible.
-    if left.is_empty() && !right.is_empty() {
-        left.push(right.pop().unwrap());
-    } else if right.is_empty() && !left.is_empty() {
-        right.push(left.pop().unwrap());
+    // one vertex to keep every part nonempty: the last right vertex
+    // rotates to the front as the whole left side, or the last left
+    // vertex becomes the whole right side. Both lists stay ascending.
+    if n_left == 0 {
+        vertices.rotate_right(1);
+        n_left = 1;
+    } else if n_left == vertices.len() {
+        n_left -= 1;
     }
+    let mid = start + n_left;
     split(
         g,
-        &left,
+        start..mid,
         &targets[..k_left],
         first_part,
         cfg,
         node_id * 2,
+        scratch,
         part,
     );
     split(
         g,
-        &right,
+        mid..end,
         &targets[k_left..],
         first_part + k_left as u32,
         cfg,
         node_id * 2 + 1,
+        scratch,
         part,
     );
 }
@@ -224,5 +293,21 @@ mod tests {
             recursive_bisection(&g, &t, &cfg),
             recursive_bisection(&g, &t, &cfg)
         );
+    }
+
+    #[test]
+    fn warm_scratch_partitions_like_a_fresh_one() {
+        let mut scratch = PartitionScratch::default();
+        let mut part = Vec::new();
+        for (n, k, seed) in [(16, 8, 1), (5, 3, 2), (12, 5, 3), (16, 16, 4)] {
+            let g = grid(n, n);
+            let targets: Vec<f64> = (0..k).map(|p| 1.0 + (p % 3) as f64).collect();
+            let cfg = MlConfig {
+                seed,
+                ..MlConfig::default()
+            };
+            recursive_bisection_into(&g, &targets, &cfg, &mut scratch, &mut part);
+            assert_eq!(part, recursive_bisection(&g, &targets, &cfg), "{n}x{n}/{k}");
+        }
     }
 }

@@ -13,7 +13,8 @@ use crate::diag::Diagnostic;
 use crate::lexer::SourceFile;
 use crate::lints::{find_token, path_is_one_of};
 
-/// The engine's warm-path modules (DESIGN.md §8/§13/§14).
+/// The engine's warm-path modules (DESIGN.md §8/§13/§14), phase 1's
+/// partitioner included.
 const WARM_MODULES: &[&str] = &[
     "crates/core/src/greedy.rs",
     "crates/core/src/wh_refine.rs",
@@ -21,6 +22,10 @@ const WARM_MODULES: &[&str] = &[
     "crates/core/src/remap.rs",
     "crates/core/src/gain.rs",
     "crates/core/src/multilevel.rs",
+    "crates/partition/src/bisect.rs",
+    "crates/partition/src/recursive.rs",
+    "crates/partition/src/coarsen.rs",
+    "crates/partition/src/balance.rs",
 ];
 
 /// Allocating constructs. `Vec::resize`/`reserve`/`extend` are absent

@@ -9,10 +9,9 @@
 //! without touching the count, so every count here is exact.
 //!
 //! Phase 1 (the METIS-role partitioner, shared by all mappers and
-//! excluded from the paper's timings) builds coarse graphs and still
-//! allocates; the full `map_tasks_with` is therefore checked for a
-//! strict allocation *reduction* against the cold path rather than
-//! zero.
+//! excluded from the paper's timings) runs on the same scratch: a warm
+//! `group_tasks_with` allocates nothing, and a warm `map_tasks_with`
+//! allocates exactly the two vectors its outcome returns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,10 +19,13 @@ use std::cell::Cell;
 use umpa::core::cong_refine::{congestion_refine_scratch, CongRefineConfig};
 use umpa::core::greedy::{greedy_map_into, GreedyConfig};
 use umpa::core::multilevel::{multilevel_map_into, MultilevelConfig};
-use umpa::core::pipeline::{map_tasks, map_tasks_with, MapperKind, PipelineConfig};
+use umpa::core::pipeline::{
+    group_tasks, group_tasks_with, map_tasks, map_tasks_with, MapperKind, PipelineConfig,
+};
 use umpa::core::scratch::MapperScratch;
 use umpa::core::wh_refine::{wh_refine_scratch, WhRefineConfig};
 use umpa::graph::TaskGraph;
+use umpa::partition::PartitionScratch;
 use umpa::topology::{AllocSpec, Allocation, Machine, MachineConfig};
 
 struct CountingAlloc;
@@ -412,4 +414,104 @@ fn warm_pipeline_allocates_strictly_less_than_cold() {
         warm < cold,
         "warm pipeline should allocate strictly less: warm={warm} cold={cold}"
     );
+}
+
+/// Machines for the direct-pipeline counts: 16 procs per node on every
+/// backend, so 16 nodes hold a 256-task graph.
+fn direct_machines() -> Vec<Machine> {
+    vec![
+        MachineConfig::small(&[4, 4, 2], 1, 16).build(),
+        umpa::topology::FatTreeConfig::small(4, 2, 16).build(),
+        umpa::topology::DragonflyConfig {
+            procs_per_node: 16,
+            ..umpa::topology::DragonflyConfig::small(3, 3, 2)
+        }
+        .build(),
+    ]
+}
+
+/// A 16×16 five-point stencil of 256 tasks with uneven volumes: far
+/// above `MlConfig::coarsen_to`, so phase 1 coarsens.
+fn stencil_256() -> TaskGraph {
+    let idx = |x: u32, y: u32| y * 16 + x;
+    TaskGraph::from_messages(
+        256,
+        (0..16u32).flat_map(|y| {
+            (0..16u32).flat_map(move |x| {
+                let w = 1.0 + f64::from((x * 3 + y) % 5);
+                [
+                    (idx(x, y), idx((x + 1) % 16, y), w),
+                    (idx(x, y), idx(x, (y + 1) % 16), 2.0 * w),
+                ]
+            })
+        }),
+        None,
+    )
+}
+
+#[test]
+fn warm_phase1_grouping_is_allocation_free() {
+    let tg = stencil_256();
+    let cfg = PipelineConfig::default();
+    let mut scratch = PartitionScratch::default();
+    let mut group = Vec::new();
+    for machine in direct_machines() {
+        let alloc = Allocation::generate(&machine, &AllocSpec::sparse(16, 2));
+        group_tasks_with(&tg, &alloc, &cfg.ml, &mut scratch, &mut group);
+        group_tasks_with(&tg, &alloc, &cfg.ml, &mut scratch, &mut group);
+        let counted = measure_steady_state(|| {
+            group_tasks_with(&tg, &alloc, &cfg.ml, &mut scratch, &mut group);
+        });
+        assert_eq!(
+            counted,
+            0,
+            "warm group_tasks_with allocated {counted} times over 5 runs on {}",
+            machine.topology().summary()
+        );
+        assert_eq!(group, group_tasks(&tg, &alloc, &cfg.ml));
+    }
+}
+
+#[test]
+fn warm_direct_map_allocates_only_its_outcome() {
+    // A warm `map_tasks_with` allocates exactly twice per map: the
+    // `group_of` and `fine_mapping` vectors of the returned outcome.
+    let tg = stencil_256();
+    let cfg = PipelineConfig::default();
+    let kinds = [
+        MapperKind::Greedy,
+        MapperKind::GreedyWh,
+        MapperKind::GreedyMc,
+        MapperKind::GreedyMmc,
+    ];
+    let mut scratch = MapperScratch::new();
+    for machine in direct_machines() {
+        let alloc = Allocation::generate(&machine, &AllocSpec::sparse(16, 2));
+        for kind in kinds {
+            let cold = map_tasks(&tg, &machine, &alloc, kind, &cfg);
+            map_tasks_with(&tg, &machine, &alloc, kind, &cfg, &mut scratch);
+            map_tasks_with(&tg, &machine, &alloc, kind, &cfg, &mut scratch);
+            let mut warm = None;
+            let counted = measure_steady_state(|| {
+                warm = Some(map_tasks_with(
+                    &tg,
+                    &machine,
+                    &alloc,
+                    kind,
+                    &cfg,
+                    &mut scratch,
+                ));
+            });
+            assert_eq!(
+                counted,
+                2 * 5,
+                "warm map_tasks_with ({}) allocated {counted} times over 5 maps on {}",
+                kind.name(),
+                machine.topology().summary()
+            );
+            let warm = warm.expect("measured at least one map");
+            assert_eq!(warm.group_of, cold.group_of, "{}", kind.name());
+            assert_eq!(warm.fine_mapping, cold.fine_mapping, "{}", kind.name());
+        }
+    }
 }

@@ -10,7 +10,11 @@
 //!   machine-sized graph that is mapped directly;
 //! * the service's drift supervisor: a forced `polish_now()` that
 //!   polishes the live mapping in place, and one that adopts the
-//!   from-scratch baseline.
+//!   from-scratch baseline;
+//! * phase 1 on its own: `group_tasks` on a graph large enough to
+//!   coarsen, recursive bisection plus `fix_balance` with non-uniform
+//!   targets, a disconnected graph, a split into more parts than
+//!   vertices, and every Figure-1 partitioner preset.
 //!
 //! The digests are constants: a refactor of the engine that changes
 //! any mapping by one task fails here, naming the case. Regenerate only
@@ -20,9 +24,12 @@
 use std::sync::Arc;
 
 use umpa::core::multilevel::{multilevel_map_into, MultilevelConfig};
-use umpa::core::pipeline::{map_tasks_with, MapperKind, PipelineConfig};
+use umpa::core::pipeline::{group_tasks, map_tasks_with, MapperKind, PipelineConfig};
 use umpa::core::scratch::MapperScratch;
-use umpa::graph::TaskGraph;
+use umpa::graph::{Graph, GraphBuilder, TaskGraph};
+use umpa::matgen::gen::{stencil2d, Stencil2D};
+use umpa::matgen::spmv::spmv_task_graph;
+use umpa::partition::{fix_balance, recursive_bisection, MlConfig, PartitionerKind};
 use umpa::service::journal::crc32;
 use umpa::service::{MappingService, ServiceConfig, SupervisorPolicy};
 use umpa::topology::{
@@ -236,5 +243,171 @@ fn engine_mappings_match_the_golden_digests() {
     for ((name, d), (gname, gd)) in got.iter().zip(GOLDEN) {
         assert_eq!(name, gname, "case order changed");
         assert_eq!(d, gd, "{name}: mapping digest changed");
+    }
+}
+
+/// An `nx × ny` grid; vertex `v` weighs `weight(v)`.
+fn grid(nx: usize, ny: usize, weight: impl Fn(usize) -> f64) -> Graph {
+    let mut b = GraphBuilder::new(nx * ny);
+    let idx = |x: usize, y: usize| (y * nx + x) as u32;
+    for y in 0..ny {
+        for x in 0..nx {
+            if x + 1 < nx {
+                b.add_edge(idx(x, y), idx(x + 1, y), 1.0 + ((x + y) % 3) as f64);
+            }
+            if y + 1 < ny {
+                b.add_edge(idx(x, y), idx(x, y + 1), 1.0);
+            }
+        }
+    }
+    b.vertex_weights((0..nx * ny).map(weight).collect());
+    b.build_symmetric()
+}
+
+/// Recursive bisection followed by the exact-balance FM pass, the way
+/// phase 1 runs them.
+fn bisect_and_balance(g: &Graph, targets: &[f64], epsilon: f64, seed: u64) -> Vec<u32> {
+    let cfg = MlConfig {
+        seed,
+        ..MlConfig::default()
+    };
+    let mut part = recursive_bisection(g, targets, &cfg);
+    fix_balance(g, &mut part, targets, epsilon);
+    part
+}
+
+/// Every phase-1 case's `(name, digest)`, in a fixed order.
+fn phase1_digests() -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    // The `direct` workload's shape: a 64×64 five-point SpMV graph in
+    // 256 parts, grouped onto 16 nodes × 16 procs. 256 tasks is far
+    // above `MlConfig::coarsen_to`, so every top-level bisection
+    // coarsens. Phase 1 reads only the allocation's processor counts,
+    // so the grouping is backend-independent by construction; the
+    // mapping that follows is not.
+    let a = stencil2d(64, 64, Stencil2D::FivePoint);
+    let tg = spmv_task_graph(
+        &a,
+        &PartitionerKind::Patoh.partition_matrix(&a, 256, 5),
+        256,
+    );
+    let machines = [
+        ("torus", MachineConfig::small(&[4, 4, 2], 1, 16).build()),
+        ("fattree", FatTreeConfig::small(4, 2, 16).build()),
+        (
+            "dragonfly",
+            DragonflyConfig {
+                procs_per_node: 16,
+                ..DragonflyConfig::small(3, 3, 2)
+            }
+            .build(),
+        ),
+    ];
+    let cfg = PipelineConfig::default();
+    let mut scratch = MapperScratch::new();
+    for (name, machine) in &machines {
+        let alloc = Allocation::generate(machine, &AllocSpec::sparse(16, 11));
+        out.push((
+            format!("group256/{name}"),
+            digest(&group_tasks(&tg, &alloc, &cfg.ml)),
+        ));
+        let o = map_tasks_with(
+            &tg,
+            machine,
+            &alloc,
+            MapperKind::GreedyMc,
+            &cfg,
+            &mut scratch,
+        );
+        out.push((format!("direct256/{name}/UMC"), digest(&o.fine_mapping)));
+    }
+
+    // Non-uniform targets, one case small enough to skip coarsening and
+    // one that coarsens, with non-uniform vertex weights.
+    let g = grid(12, 12, |_| 1.0);
+    out.push((
+        "rb/72-36-36".to_string(),
+        digest(&bisect_and_balance(&g, &[72.0, 36.0, 36.0], 0.0, 1)),
+    ));
+    let g = grid(24, 16, |v| 1.0 + (v % 3) as f64);
+    let scale = g.total_vertex_weight() / 39.0;
+    let targets: Vec<f64> = [5.0, 9.0, 2.0, 16.0, 7.0]
+        .iter()
+        .map(|t| t * scale)
+        .collect();
+    out.push((
+        "rb/5-9-2-16-7".to_string(),
+        digest(&bisect_and_balance(&g, &targets, 0.03, 2)),
+    ));
+
+    // Five disjoint 6×6 grids plus four isolated vertices: greedy
+    // growing exhausts a component before reaching its target and must
+    // jump to the heaviest unreached vertex.
+    let comp = grid(6, 6, |_| 1.0);
+    let n = 5 * 36 + 4;
+    let mut b = GraphBuilder::new(n);
+    for c in 0..5u32 {
+        for (u, v, w) in comp.all_edges() {
+            b.add_edge(u + 36 * c, v + 36 * c, w * f64::from(c + 1));
+        }
+    }
+    let g = b.build_directed();
+    let targets = vec![g.total_vertex_weight() / 3.0; 3];
+    out.push((
+        "rb/disconnected".to_string(),
+        digest(&bisect_and_balance(&g, &targets, 0.05, 3)),
+    ));
+
+    // More parts than vertices: the degenerate one-vertex-per-part
+    // split, then balance over parts that stay empty.
+    let g = grid(3, 2, |v| 1.0 + v as f64);
+    let targets: Vec<f64> = (0..9).map(|p| 1.0 + f64::from(p % 4)).collect();
+    out.push((
+        "rb/k-ge-n".to_string(),
+        digest(&bisect_and_balance(&g, &targets, 0.0, 4)),
+    ));
+
+    // The Figure-1 partitioner presets on a 32×32 stencil.
+    let a = stencil2d(32, 32, Stencil2D::FivePoint);
+    for kind in PartitionerKind::all() {
+        out.push((
+            format!("preset/{}", kind.name()),
+            digest(&kind.partition_matrix(&a, 16, 7)),
+        ));
+    }
+    out
+}
+
+/// The phase-1 digests at the time this test was written.
+const PHASE1_GOLDEN: &[(&str, u32)] = &[
+    ("group256/torus", 0x7974d627),
+    ("direct256/torus/UMC", 0x5471eab7),
+    ("group256/fattree", 0x7974d627),
+    ("direct256/fattree/UMC", 0x257a150b),
+    ("group256/dragonfly", 0x7974d627),
+    ("direct256/dragonfly/UMC", 0x22ca6e6c),
+    ("rb/72-36-36", 0x4d23d79e),
+    ("rb/5-9-2-16-7", 0x668e44e7),
+    ("rb/disconnected", 0x8e73719e),
+    ("rb/k-ge-n", 0x850cf83d),
+    ("preset/KAFFPA", 0x1fb7d582),
+    ("preset/METIS", 0x069d884d),
+    ("preset/PATOH", 0xcf24b8f3),
+    ("preset/SCOTCH", 0x68323667),
+    ("preset/UMPA_MM", 0x8907ba55),
+    ("preset/UMPA_MV", 0x27ec4bd2),
+    ("preset/UMPA_TM", 0xcc7bc64d),
+];
+
+#[test]
+fn phase1_partitions_match_the_golden_digests() {
+    let got = phase1_digests();
+    for (name, d) in &got {
+        println!("    (\"{name}\", 0x{d:08x}),");
+    }
+    assert_eq!(got.len(), PHASE1_GOLDEN.len(), "case count changed");
+    for ((name, d), (gname, gd)) in got.iter().zip(PHASE1_GOLDEN) {
+        assert_eq!(name, gname, "case order changed");
+        assert_eq!(d, gd, "{name}: partition digest changed");
     }
 }
